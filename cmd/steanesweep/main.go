@@ -74,7 +74,8 @@ func main() {
 	if strings.EqualFold(*etype, "z") {
 		et = experiments.LogicalZ
 	}
-	cfg := experiments.SteaneSweepConfig{
+	cfg := experiments.SweepConfig{
+		Code:             experiments.CodeSteane,
 		Engine:           engine,
 		PERs:             experiments.LogSpace(*lo, *hi, *points),
 		Samples:          *samples,
@@ -97,7 +98,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "steane sweep %s (%d points × %d samples, %s errors)...\n",
 			label, *points, *samples, et)
-		pts, err := experiments.RunSteaneSweep(c)
+		pts, err := experiments.RunSweep(c)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "steanesweep:", err)
 			os.Exit(1)

@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/stats"
 )
@@ -47,28 +46,9 @@ func runAdaptiveSpec(ctx context.Context, spec Spec, opt RunOptions) ([]PointRes
 			}
 			first := base + done
 			err := forEachShardWorkerCtx(ctx, batch, workers, func(w, k int) error {
-				i := first + k
-				sh := spec.Shard(i)
-				if opt.Lookup != nil {
-					if rs, ok := opt.Lookup(sh); ok && len(rs) == sh.Count {
-						runs[i] = rs
-						return nil
-					}
-				}
-				rs, err := runner.run(w, sh)
-				if err != nil {
-					return err
-				}
-				if len(rs) != sh.Count {
-					return fmt.Errorf("shard %d: engine produced %d runs, want %d", i, len(rs), sh.Count)
-				}
-				if opt.Persist != nil {
-					if err := opt.Persist(sh, rs); err != nil {
-						return fmt.Errorf("persist shard %d: %w", i, err)
-					}
-				}
-				runs[i] = rs
-				return nil
+				rs, err := runner.step(w, spec.Shard(first+k), opt)
+				runs[first+k] = rs
+				return err
 			})
 			if err != nil {
 				return nil, err

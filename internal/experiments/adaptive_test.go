@@ -58,7 +58,8 @@ func TestAdaptiveStopsEarly(t *testing.T) {
 
 // TestAdaptiveWorkerInvariance is the acceptance-criteria determinism
 // proof: batch-granular stopping makes the adaptive sweep bit-identical
-// for any worker count, on both the sparse frame engine and the stack.
+// for any worker count, on the sparse frame engine, on the stack, and on
+// the Steane code.
 func TestAdaptiveWorkerInvariance(t *testing.T) {
 	t.Run("sparse", func(t *testing.T) {
 		base, err := RunSweep(adaptiveTestConfig(1))
@@ -103,6 +104,31 @@ func TestAdaptiveWorkerInvariance(t *testing.T) {
 		}
 		if len(base[0].LERs)%cfg.AdaptBatch != 0 && len(base[0].LERs) != cfg.Samples {
 			t.Fatalf("stack stop not batch-granular: %d samples", len(base[0].LERs))
+		}
+	})
+	t.Run("steane", func(t *testing.T) {
+		steaneConfig := func(workers int) SweepConfig {
+			cfg := adaptiveTestConfig(workers)
+			cfg.Code = CodeSteane
+			return cfg
+		}
+		cfg := steaneConfig(1)
+		base, err := RunSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(base[0].LERs); n >= cfg.Samples || n%cfg.AdaptBatch != 0 {
+			t.Fatalf("Steane adaptive sweep ran %d samples, want an early stop on a batch boundary", n)
+		}
+		for _, workers := range []int{3, 8} {
+			got, err := RunSweep(steaneConfig(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(base, got) {
+				t.Fatalf("Steane Workers=1 and Workers=%d diverged:\n1: %+v\n%d: %+v",
+					workers, base, workers, got)
+			}
 		}
 	})
 }

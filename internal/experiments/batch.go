@@ -51,27 +51,9 @@ func RunShardBatch(ctx context.Context, spec Spec, indices []int, opt RunOptions
 	workers := resolveWorkers(opt.Workers)
 	runner := newShardRunner(spec, workers)
 	err := forEachShardWorkerCtx(ctx, len(indices), workers, func(w, k int) error {
-		sh := spec.Shard(indices[k])
-		if opt.Lookup != nil {
-			if rs, ok := opt.Lookup(sh); ok && len(rs) == sh.Count {
-				out[k] = rs
-				return nil
-			}
-		}
-		rs, err := runner.run(w, sh)
-		if err != nil {
-			return err
-		}
-		if len(rs) != sh.Count {
-			return fmt.Errorf("shard %d: engine produced %d runs, want %d", sh.Index, len(rs), sh.Count)
-		}
-		if opt.Persist != nil {
-			if err := opt.Persist(sh, rs); err != nil {
-				return fmt.Errorf("persist shard %d: %w", sh.Index, err)
-			}
-		}
+		rs, err := runner.step(w, spec.Shard(indices[k]), opt)
 		out[k] = rs
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -5,9 +5,17 @@ import (
 	"repro/internal/layers"
 )
 
-// frameEngine compiles the framesim engine for one LER configuration.
-// cfg must already have its defaults applied.
-func frameEngine(cfg LERConfig) (*framesim.Engine, error) {
+// wideEngine is what the harness needs of a compiled frame engine: the
+// dense and sparse SC17 engines and the two Steane engines all run wide
+// batches under the same lane-extraction contract.
+type wideEngine interface {
+	RunBatchWide(seeds []int64, shots int) ([]framesim.ShotResult, error)
+}
+
+// frameConfig maps an LER configuration to the frame engines' config;
+// cfg must already have its defaults applied. The Steane engines ignore
+// the SC17-only fields (InitRounds, DecoderRule).
+func frameConfig(cfg LERConfig) framesim.Config {
 	model := layers.Depolarizing(cfg.PER)
 	if cfg.Model != nil {
 		model = *cfg.Model
@@ -16,7 +24,7 @@ func frameEngine(cfg LERConfig) (*framesim.Engine, error) {
 	if cfg.ErrorType == LogicalZ {
 		obs = framesim.ObserveZ
 	}
-	return framesim.New(framesim.Config{
+	return framesim.Config{
 		Observable:       obs,
 		WithPauliFrame:   cfg.WithPauliFrame,
 		MaxLogicalErrors: cfg.MaxLogicalErrors,
@@ -25,7 +33,23 @@ func frameEngine(cfg LERConfig) (*framesim.Engine, error) {
 		DecoderRule:      cfg.DecoderRule,
 		Model:            model,
 		RefSeed:          cfg.Seed,
-	})
+	}
+}
+
+// newFrameEngine compiles the frame engine for cfg's code and engine;
+// cfg.Seed seeds the noiseless reference run and cfg must already have
+// its defaults applied.
+func newFrameEngine(cfg LERConfig) (wideEngine, error) {
+	fc := frameConfig(cfg)
+	switch {
+	case cfg.Code == CodeSteane && cfg.Engine == EngineSparse:
+		return framesim.NewSteaneSparse(fc)
+	case cfg.Code == CodeSteane:
+		return framesim.NewSteane(fc)
+	case cfg.Engine == EngineSparse:
+		return framesim.NewSparse(fc)
+	}
+	return framesim.New(fc)
 }
 
 // frameToLER converts a framesim shot into the harness result type.
@@ -47,61 +71,10 @@ func frameToLER(r framesim.ShotResult) LERResult {
 	return out
 }
 
-// runFrameLER runs a single shot on the frame engine.
-func runFrameLER(cfg LERConfig) (LERResult, error) {
-	cfg = cfg.withDefaults()
-	e, err := frameEngine(cfg)
-	if err != nil {
-		return LERResult{}, err
+func frameShotsToLER(rs []framesim.ShotResult) []LERResult {
+	out := make([]LERResult, len(rs))
+	for i, shot := range rs {
+		out[i] = frameToLER(shot)
 	}
-	rs, err := e.RunBatch(cfg.Seed, 1)
-	if err != nil {
-		return LERResult{}, err
-	}
-	return frameToLER(rs[0]), nil
+	return out
 }
-
-// sparseEngine compiles the sparse gap-skipping frame engine for one LER
-// configuration; it shares frameEngine's config mapping via
-// framesim.Config, so the two engines always describe the same protocol.
-func sparseEngine(cfg LERConfig) (*framesim.Sparse, error) {
-	model := layers.Depolarizing(cfg.PER)
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
-	obs := framesim.ObserveX
-	if cfg.ErrorType == LogicalZ {
-		obs = framesim.ObserveZ
-	}
-	return framesim.NewSparse(framesim.Config{
-		Observable:       obs,
-		WithPauliFrame:   cfg.WithPauliFrame,
-		MaxLogicalErrors: cfg.MaxLogicalErrors,
-		MaxWindows:       cfg.MaxWindows,
-		InitRounds:       cfg.InitRounds,
-		DecoderRule:      cfg.DecoderRule,
-		Model:            model,
-		RefSeed:          cfg.Seed,
-	})
-}
-
-// runSparseLER runs a single shot on the sparse frame engine.
-func runSparseLER(cfg LERConfig) (LERResult, error) {
-	cfg = cfg.withDefaults()
-	s, err := sparseEngine(cfg)
-	if err != nil {
-		return LERResult{}, err
-	}
-	rs, err := s.RunBatch(cfg.Seed, 1)
-	if err != nil {
-		return LERResult{}, err
-	}
-	return frameToLER(rs[0]), nil
-}
-
-// The framesim back end of sweeps lives in the shared pipeline
-// (pipeline.go): shardRunner compiles one immutable engine per point and
-// runs one 64-shot batch word per shard, seeded by
-// ShardSeed(BaseSeed, point, word) — the same determinism contract as
-// the stack sweep, though the two engines' RNG streams (and hence
-// individual runs) differ.

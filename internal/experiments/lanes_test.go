@@ -17,28 +17,33 @@ func wideSpec(engine string, lanes int) Spec {
 	}
 }
 
-// TestSpecLanesValidation pins the -lanes vocabulary: only the widths the
-// wide kernels support pass, one word normalizes onto the canonical zero
-// state, and the stack engine (which has no lanes) rejects any width.
+// TestSpecLanesValidation pins the -lanes vocabulary for both codes: only
+// the widths the wide kernels support pass, one word normalizes onto the
+// canonical zero state, and the stack engine (which has no lanes)
+// rejects any width.
 func TestSpecLanesValidation(t *testing.T) {
-	for _, lanes := range []int{0, 1, 2, 4, 8} {
-		s := wideSpec(EngineNameFrameSim, lanes).Normalized()
-		if err := s.Validate(); err != nil {
-			t.Errorf("lanes=%d rejected: %v", lanes, err)
+	for _, code := range []string{"", CodeNameSteane} {
+		spec := func(engine string, lanes int) Spec {
+			s := wideSpec(engine, lanes)
+			s.Code = code
+			return s.Normalized()
 		}
-	}
-	for _, lanes := range []int{-1, 3, 5, 16} {
-		s := wideSpec(EngineNameSparse, lanes).Normalized()
-		if err := s.Validate(); err == nil {
-			t.Errorf("lanes=%d accepted", lanes)
+		for _, lanes := range []int{0, 1, 2, 4, 8} {
+			if err := spec(EngineNameFrameSim, lanes).Validate(); err != nil {
+				t.Errorf("code %q lanes=%d rejected: %v", code, lanes, err)
+			}
 		}
-	}
-	s := wideSpec(EngineNameStack, 2).Normalized()
-	if err := s.Validate(); err == nil {
-		t.Error("stack engine accepted a lane width")
-	}
-	if got := wideSpec(EngineNameFrameSim, 1).Normalized().Lanes; got != 0 {
-		t.Errorf("Lanes=1 normalized to %d, want 0", got)
+		for _, lanes := range []int{-1, 3, 5, 16} {
+			if err := spec(EngineNameSparse, lanes).Validate(); err == nil {
+				t.Errorf("code %q lanes=%d accepted", code, lanes)
+			}
+		}
+		if err := spec(EngineNameStack, 2).Validate(); err == nil {
+			t.Errorf("code %q: stack engine accepted a lane width", code)
+		}
+		if got := spec(EngineNameFrameSim, 1).Lanes; got != 0 {
+			t.Errorf("code %q: Lanes=1 normalized to %d, want 0", code, got)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/layers"
 	"repro/internal/qpdo"
 	"repro/internal/stats"
+	"repro/internal/steane"
 	"repro/internal/surface"
 )
 
@@ -92,10 +93,30 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineStack, fmt.Errorf("unknown engine %q (want stack, framesim or sparse)", s)
 }
 
+// Code selects the QEC code under test. The thesis's QPDO platform hosts
+// two (§4.2.3): Surface Code 17, the paper's subject, and Steane
+// [[7,1,3]], whose study shows that claim 2 (a Pauli frame gives no LER
+// benefit) is not an SC17 artifact. Both run the same windows protocol
+// on the same engines.
+type Code int
+
+// Codes.
+const (
+	// CodeSC17 is one SC17 ninja star (surface.NinjaStarLayer), the
+	// default.
+	CodeSC17 Code = iota
+	// CodeSteane is one Steane [[7,1,3]] block (steane.Layer). A window
+	// is one ESM round with two-round-agreement decode; the SC17-only
+	// fields InitRounds and DecoderRule do not apply.
+	CodeSteane
+)
+
 // LERConfig parameterizes one logical-error-rate run.
 type LERConfig struct {
 	// Engine selects the simulation engine (default: the QPDO stack).
 	Engine Engine
+	// Code selects the QEC code (default: SC17).
+	Code Code
 	// PER is the physical error rate p of the depolarizing model.
 	PER float64
 	// ErrorType selects the monitored logical error.
@@ -116,16 +137,6 @@ type LERConfig struct {
 	Model *layers.Model
 	// Seed drives all randomness of the run.
 	Seed int64
-	// Lanes is the frame engines' batch width in 64-shot words for sweep
-	// execution (0 or 1 = single words; 2, 4, 8 = wide kernels). RunLER
-	// itself always runs one trajectory, so the field only shapes how the
-	// sweep pipeline groups this configuration's shots — never their
-	// values, because lane extraction is bit-identical.
-	Lanes int
-	// Workers bounds the pool of sample-parallel drivers built on this
-	// config (RunLERSamples); RunLER itself is a single sequential
-	// trajectory. Zero means runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 func (c LERConfig) withDefaults() LERConfig {
@@ -185,9 +196,59 @@ func (r LERResult) SlotsSavedFrac() float64 {
 	return float64(r.SlotsIssued-r.SlotsExecuted) / float64(r.SlotsIssued)
 }
 
+// qecLayer is the seam between runLER and a code's QEC layer, the top
+// of the Fig 5.8 stack: the windows protocol of Listing 5.7 needs one
+// QEC window, one diagnostic ESM round and the logical probe, all on
+// logical qubit 0.
+type qecLayer interface {
+	qpdo.Core
+	// window runs one QEC window and returns the correction gates and
+	// time slots the decoder issued.
+	window() (gates, slots int, err error)
+	// diagnose runs one ESM round and reports whether it saw no syndrome.
+	diagnose() (clean bool, err error)
+	// probe reads the logical observable that et's errors flip: Z_L for
+	// logical X errors, X_L for logical Z errors.
+	probe(et ErrorType) (int, error)
+}
+
+// starLayer adapts the SC17 ninja-star layer to runLER. A window is two
+// ESM rounds, windowed decoding against the carried round and at most
+// one correction slot (thesis §5.3, Fig 5.9).
+type starLayer struct{ *surface.NinjaStarLayer }
+
+func (l starLayer) window() (int, int, error) {
+	w, err := l.RunWindow(0)
+	return w.CorrectionGates, w.CorrectionSlots, err
+}
+
+func (l starLayer) diagnose() (bool, error) {
+	round, err := l.RunESMRound(0)
+	return round.A == 0 && round.B == 0, err
+}
+
+func (l starLayer) probe(et ErrorType) (int, error) {
+	if et == LogicalZ {
+		return l.ProbeXL(0)
+	}
+	return l.ProbeZL(0)
+}
+
+// newQECLayer builds cfg's QEC layer on top of below.
+func newQECLayer(cfg LERConfig, below qpdo.Core) qecLayer {
+	if cfg.Code == CodeSteane {
+		return steaneLayer{steane.NewLayer(below)}
+	}
+	return starLayer{surface.NewNinjaStarLayer(below, surface.Config{
+		Ancilla:     surface.AncillaDedicated,
+		InitRounds:  cfg.InitRounds,
+		DecoderRule: cfg.DecoderRule,
+	})}
+}
+
 // lerStack bundles the layers of the Fig 5.8 test stack.
 type lerStack struct {
-	star       *surface.NinjaStarLayer
+	top        qecLayer
 	counterTop *layers.CounterLayer
 	counterMid *layers.CounterLayer
 	pf         *layers.PauliFrameLayer
@@ -195,10 +256,11 @@ type lerStack struct {
 	chp        *layers.ChpCore
 }
 
-// buildStack assembles: ninja star → counter → [pauli frame] → counter →
-// error → chp (the bottom counter of Fig 5.8 is omitted: its stream is
-// identical to the error layer's input plus injected errors, which the
-// error layer already counts).
+// buildStack assembles: QEC layer → counter → [pauli frame] → counter →
+// error → chp, with cfg's code on top — the ninja star for SC17, one
+// Steane block for Steane (the bottom counter of Fig 5.8 is omitted: its
+// stream is identical to the error layer's input plus injected errors,
+// which the error layer already counts).
 func buildStack(cfg LERConfig) (*lerStack, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := &lerStack{}
@@ -215,12 +277,8 @@ func buildStack(cfg LERConfig) (*lerStack, error) {
 		below = s.pf
 	}
 	s.counterTop = layers.NewCounterLayer(below)
-	s.star = surface.NewNinjaStarLayer(s.counterTop, surface.Config{
-		Ancilla:     surface.AncillaDedicated,
-		InitRounds:  cfg.InitRounds,
-		DecoderRule: cfg.DecoderRule,
-	})
-	if err := s.star.CreateQubits(1); err != nil {
+	s.top = newQECLayer(cfg, s.counterTop)
+	if err := s.top.CreateQubits(1); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -230,10 +288,12 @@ func buildStack(cfg LERConfig) (*lerStack, error) {
 // produce, reusing every allocation. The RNG derivation chain mirrors
 // buildStack exactly (one master RNG seeded by cfg.Seed, first child for
 // the CHP core, second for the error layer), so a reused stack is
-// bit-identical to a fresh one. The ninja-star layer needs no explicit
-// reset: the protocol's initial Prep re-establishes rotation, dance mode,
-// decoder carries and logical state, and its cached ESM circuits are pure
-// functions of the fixed geometry.
+// bit-identical to a fresh one. The QEC layer needs no explicit reset:
+// the protocol's initial Prep re-establishes its state — for the ninja
+// star rotation, dance mode, decoder carries and logical state (its
+// cached ESM circuits are pure functions of the fixed geometry), for a
+// Steane block the codespace projection and the two-round decode
+// history.
 func (s *lerStack) reset(cfg LERConfig) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s.chp.Reset(rand.New(rand.NewSource(rng.Int63())))
@@ -250,9 +310,9 @@ func (s *lerStack) reset(cfg LERConfig) {
 }
 
 // stackPool hands one reusable stack to each Monte-Carlo worker. The
-// pooled stacks must share the structural configuration (WithPauliFrame,
-// InitRounds, DecoderRule); per-run fields (PER, Seed, Model) are applied
-// by reset.
+// pooled stacks must share the structural configuration (Code,
+// WithPauliFrame, InitRounds, DecoderRule); per-run fields (PER, Seed,
+// Model) are applied by reset.
 type stackPool struct {
 	stacks []*lerStack
 }
@@ -281,14 +341,21 @@ func (p *stackPool) run(w int, cfg LERConfig) (LERResult, error) {
 // RunLER executes the windows protocol of thesis Listing 5.7 for one
 // physical error rate: initialize the logical qubit noiselessly, then
 // repeatedly run QEC windows, count windows, and — whenever the data
-// qubits carry no observable error — probe for a logical error.
+// qubits carry no observable error — probe for a logical error. The
+// frame engines run the same protocol as one shot of a compiled engine
+// whose noiseless reference is seeded by cfg.Seed.
 func RunLER(cfg LERConfig) (LERResult, error) {
 	cfg = cfg.withDefaults()
-	switch cfg.Engine {
-	case EngineFrameSim:
-		return runFrameLER(cfg)
-	case EngineSparse:
-		return runSparseLER(cfg)
+	if cfg.Engine != EngineStack {
+		e, err := newFrameEngine(cfg)
+		if err != nil {
+			return LERResult{}, err
+		}
+		rs, err := e.RunBatchWide([]int64{cfg.Seed}, 1)
+		if err != nil {
+			return LERResult{}, err
+		}
+		return frameToLER(rs[0]), nil
 	}
 	s, err := buildStack(cfg)
 	if err != nil {
@@ -300,46 +367,39 @@ func RunLER(cfg LERConfig) (LERResult, error) {
 // runLER drives the windows protocol on an initialized stack; cfg must
 // already have its defaults applied.
 func runLER(cfg LERConfig, s *lerStack) (LERResult, error) {
+	top := s.top
 	// Noiseless initialization (bypass mode).
 	init := circuit.New().Add(gates.Prep, 0)
 	if cfg.ErrorType == LogicalZ {
-		init.Add(gates.H, 0) // |+⟩_L on the rotated lattice
+		init.Add(gates.H, 0) // |+⟩_L: both codes' logical H
 	}
-	if err := qpdo.WithBypass(s.star, func() error {
-		_, err := qpdo.Run(s.star, init)
+	if err := qpdo.WithBypass(top, func() error {
+		_, err := qpdo.Run(top, init)
 		return err
 	}); err != nil {
 		return LERResult{}, err
 	}
 
-	probe := s.star.ProbeZL
-	if cfg.ErrorType == LogicalZ {
-		probe = s.star.ProbeXL
-	}
 	expected := 0
-
 	var res LERResult
 	for res.LogicalErrors < cfg.MaxLogicalErrors && res.Windows < cfg.MaxWindows {
-		w, err := s.star.RunWindow(0)
+		g, slots, err := top.window()
 		if err != nil {
 			return res, err
 		}
-		res.CorrectionGates += w.CorrectionGates
-		res.CorrectionSlots += w.CorrectionSlots
+		res.CorrectionGates += g
+		res.CorrectionSlots += slots
 		res.Windows++
 
 		// Diagnostics in bypass mode: an error-free ESM round reveals
 		// observable errors; only a clean state is probed for a logical
 		// error (thesis §5.3, Listing 5.7).
-		if err := qpdo.WithBypass(s.star, func() error {
-			round, err := s.star.RunESMRound(0)
-			if err != nil {
-				return err
+		if err := qpdo.WithBypass(top, func() error {
+			clean, err := top.diagnose()
+			if err != nil || !clean {
+				return err // !clean: observable physical errors remain
 			}
-			if round.A != 0 || round.B != 0 {
-				return nil // observable physical errors remain
-			}
-			out, err := probe(0)
+			out, err := top.probe(cfg.ErrorType)
 			if err != nil {
 				return err
 			}
@@ -433,7 +493,9 @@ func stddev(xs []float64) float64 {
 // SweepConfig parameterizes a PER sweep (thesis Figs 5.11-5.14).
 type SweepConfig struct {
 	// Engine selects the simulation engine (default: the QPDO stack).
-	Engine           Engine
+	Engine Engine
+	// Code selects the QEC code (default: SC17).
+	Code             Code
 	PERs             []float64
 	Samples          int
 	ErrorType        ErrorType

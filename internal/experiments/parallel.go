@@ -151,42 +151,6 @@ func (c *progressCollector) close() {
 	<-c.done
 }
 
-// RunLERSamples runs `samples` independent repetitions of one LER
-// configuration in parallel (pool size cfg.Workers), seeding repetition
-// s with ShardSeed(cfg.Seed, 0, s). Each worker reuses one simulator
-// stack across its repetitions. The result order is by repetition index
-// and is bit-identical for any worker count.
-func RunLERSamples(cfg LERConfig, samples int) ([]LERResult, error) {
-	if samples < 0 {
-		samples = 0
-	}
-	out := make([]LERResult, samples)
-	workers := resolveWorkers(cfg.Workers)
-	pool := newStackPool(workers)
-	err := forEachShardWorker(samples, workers, func(w, s int) error {
-		c := cfg
-		c.Seed = ShardSeed(cfg.Seed, 0, s)
-		var (
-			r   LERResult
-			err error
-		)
-		if c.Engine == EngineStack {
-			r, err = pool.run(w, c)
-		} else {
-			r, err = RunLER(c)
-		}
-		if err != nil {
-			return err
-		}
-		out[s] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RunGenericLERSweep runs the distance-scaling study (cmd/dsweep) with
 // one worker per distance, seeding distance d with
 // ShardSeed(cfg.Seed, d, 0). Results are ordered like distances.

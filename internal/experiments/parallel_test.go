@@ -185,37 +185,6 @@ func TestNegativeSamplesAreEmptyNotPanic(t *testing.T) {
 	if err != nil || len(pts) != 1 || len(pts[0].LERs) != 0 {
 		t.Fatalf("negative-sample sweep: %+v, %v", pts, err)
 	}
-	rs, err := RunLERSamples(LERConfig{PER: 1e-3, Seed: 1}, -3)
-	if err != nil || len(rs) != 0 {
-		t.Fatalf("negative RunLERSamples: %+v, %v", rs, err)
-	}
-}
-
-func TestRunLERSamplesDeterministicAcrossWorkers(t *testing.T) {
-	cfg := LERConfig{PER: 5e-3, MaxLogicalErrors: 3, MaxWindows: 20000, Seed: 7}
-	cfg.Workers = 1
-	serial, err := RunLERSamples(cfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 8
-	parallel, err := RunLERSamples(cfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("RunLERSamples diverged across worker counts:\n%+v\n%+v", serial, parallel)
-	}
-	// Distinct shard seeds: the repetitions must not be clones.
-	clones := true
-	for _, r := range serial[1:] {
-		if r.Windows != serial[0].Windows {
-			clones = false
-		}
-	}
-	if clones {
-		t.Error("all repetitions identical — shard seeding suspect")
-	}
 }
 
 func TestRunComputationLERPairDeterministicAcrossWorkers(t *testing.T) {

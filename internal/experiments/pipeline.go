@@ -10,8 +10,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/internal/framesim"
 )
 
 // RunOptions carries the runtime-only knobs of a pipeline run — none of
@@ -35,106 +33,102 @@ type RunOptions struct {
 }
 
 // shardRunner computes shards: one reusable stack per worker for the
-// QPDO engine, one lazily compiled immutable frame engine (dense or
-// sparse) per point.
+// QPDO engine, one lazily compiled immutable frame engine per point.
+// The spec's code and engine pick the stack's QEC layer and the frame
+// engine; nothing else in the pipeline depends on them.
 type shardRunner struct {
 	spec Spec
+	cfg  SweepConfig
 	pool *stackPool
 
 	once    []sync.Once
-	engines []*framesim.Engine
-	sparses []*framesim.Sparse
+	engines []wideEngine
 	engErr  []error
 }
 
+// newShardRunner expects a Normalized, Validated spec.
 func newShardRunner(spec Spec, workers int) *shardRunner {
 	return &shardRunner{
 		spec:    spec,
+		cfg:     spec.sweepConfig(),
 		pool:    newStackPool(workers),
 		once:    make([]sync.Once, len(spec.PERs)),
-		engines: make([]*framesim.Engine, len(spec.PERs)),
-		sparses: make([]*framesim.Sparse, len(spec.PERs)),
+		engines: make([]wideEngine, len(spec.PERs)),
 		engErr:  make([]error, len(spec.PERs)),
 	}
 }
 
-// lerConfig builds the per-shard LERConfig of point p (stack engine).
+// lerConfig builds the per-run LERConfig of point p.
 func (r *shardRunner) lerConfig(p int, seed int64) LERConfig {
-	et := LogicalX
-	if r.spec.ErrorType == "z" {
-		et = LogicalZ
-	}
 	return LERConfig{
-		PER:              r.spec.PERs[p],
-		ErrorType:        et,
-		WithPauliFrame:   r.spec.WithPauliFrame,
-		MaxLogicalErrors: r.spec.MaxLogicalErrors,
-		MaxWindows:       r.spec.MaxWindows,
+		Engine:           r.cfg.Engine,
+		Code:             r.cfg.Code,
+		PER:              r.cfg.PERs[p],
+		ErrorType:        r.cfg.ErrorType,
+		WithPauliFrame:   r.cfg.WithPauliFrame,
+		MaxLogicalErrors: r.cfg.MaxLogicalErrors,
+		MaxWindows:       r.cfg.MaxWindows,
 		Seed:             seed,
 	}
 }
 
-// engine returns point p's compiled framesim engine, building it on
-// first use. Engines are immutable and shared across workers; the
-// compile seed is the sweep's BaseSeed (the noiseless reference run),
-// matching the pre-pipeline frame sweep exactly.
-func (r *shardRunner) engine(p int) (*framesim.Engine, error) {
+// engine returns point p's compiled frame engine, building it on first
+// use. Engines are immutable and shared across workers; the compile
+// seed is the sweep's BaseSeed (the noiseless reference run).
+func (r *shardRunner) engine(p int) (wideEngine, error) {
 	r.once[p].Do(func() {
-		r.engines[p], r.engErr[p] = frameEngine(r.lerConfig(p, r.spec.BaseSeed).withDefaults())
+		r.engines[p], r.engErr[p] = newFrameEngine(r.lerConfig(p, r.spec.BaseSeed).withDefaults())
 	})
 	return r.engines[p], r.engErr[p]
 }
 
-// sparse returns point p's compiled sparse frame engine, sharing the
-// per-point once with engine (a spec runs exactly one engine kind).
-func (r *shardRunner) sparse(p int) (*framesim.Sparse, error) {
-	r.once[p].Do(func() {
-		r.sparses[p], r.engErr[p] = sparseEngine(r.lerConfig(p, r.spec.BaseSeed).withDefaults())
-	})
-	return r.sparses[p], r.engErr[p]
-}
-
 // run computes shard sh on worker w.
 func (r *shardRunner) run(w int, sh Shard) ([]LERResult, error) {
-	switch r.spec.Engine {
-	case EngineNameFrameSim:
-		e, err := r.engine(sh.Point)
+	if r.cfg.Engine == EngineStack {
+		res, err := r.pool.run(w, r.lerConfig(sh.Point, sh.Seed))
 		if err != nil {
 			return nil, err
 		}
-		// One wide pass over the shard's words (RunBatch is the
-		// single-word special case of the same call): word k is seeded by
-		// its global word index, so results are bit-identical to running
-		// each word alone at Lanes = 1.
-		rs, err := e.RunBatchWide(r.spec.WordSeeds(sh), sh.Count)
-		if err != nil {
-			return nil, err
-		}
-		return frameShotsToLER(rs), nil
-	case EngineNameSparse:
-		s, err := r.sparse(sh.Point)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := s.RunBatchWide(r.spec.WordSeeds(sh), sh.Count)
-		if err != nil {
-			return nil, err
-		}
-		return frameShotsToLER(rs), nil
+		return []LERResult{res}, nil
 	}
-	res, err := r.pool.run(w, r.lerConfig(sh.Point, sh.Seed))
+	e, err := r.engine(sh.Point)
 	if err != nil {
 		return nil, err
 	}
-	return []LERResult{res}, nil
+	// One wide pass over the shard's words (a single word is the
+	// width-1 case of the same call): word k is seeded by its global
+	// word index, so results are bit-identical to running each word
+	// alone at Lanes = 1.
+	rs, err := e.RunBatchWide(r.spec.WordSeeds(sh), sh.Count)
+	if err != nil {
+		return nil, err
+	}
+	return frameShotsToLER(rs), nil
 }
 
-func frameShotsToLER(rs []framesim.ShotResult) []LERResult {
-	out := make([]LERResult, len(rs))
-	for i, shot := range rs {
-		out[i] = frameToLER(shot)
+// step is the one shard step of every pipeline driver (RunSpec, the
+// adaptive executor, RunShardBatch): serve shard sh from opt.Lookup
+// when it holds exactly sh.Count runs, otherwise compute it on worker
+// w, check the run count and hand the runs to opt.Persist.
+func (r *shardRunner) step(w int, sh Shard, opt RunOptions) ([]LERResult, error) {
+	if opt.Lookup != nil {
+		if rs, ok := opt.Lookup(sh); ok && len(rs) == sh.Count {
+			return rs, nil
+		}
 	}
-	return out
+	rs, err := r.run(w, sh)
+	if err != nil {
+		return nil, err
+	}
+	if len(rs) != sh.Count {
+		return nil, fmt.Errorf("shard %d: engine produced %d runs, want %d", sh.Index, len(rs), sh.Count)
+	}
+	if opt.Persist != nil {
+		if err := opt.Persist(sh, rs); err != nil {
+			return nil, fmt.Errorf("persist shard %d: %w", sh.Index, err)
+		}
+	}
+	return rs, nil
 }
 
 // RunSpec executes a sweep spec: every shard is looked up (opt.Lookup),
@@ -163,26 +157,9 @@ func RunSpec(ctx context.Context, spec Spec, opt RunOptions) ([]PointResult, err
 	runner := newShardRunner(spec, workers)
 	err := forEachShardWorkerCtx(ctx, n, workers, func(w, i int) error {
 		sh := spec.Shard(i)
-		if opt.Lookup != nil {
-			if rs, ok := opt.Lookup(sh); ok && len(rs) == sh.Count {
-				runs[i] = rs
-				if progress != nil {
-					progress.sampleDone(sh.Point)
-				}
-				return nil
-			}
-		}
-		rs, err := runner.run(w, sh)
+		rs, err := runner.step(w, sh, opt)
 		if err != nil {
 			return err
-		}
-		if len(rs) != sh.Count {
-			return fmt.Errorf("shard %d: engine produced %d runs, want %d", i, len(rs), sh.Count)
-		}
-		if opt.Persist != nil {
-			if err := opt.Persist(sh, rs); err != nil {
-				return fmt.Errorf("persist shard %d: %w", i, err)
-			}
 		}
 		runs[i] = rs
 		if progress != nil {

@@ -66,6 +66,8 @@ func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
 		{PERs: []float64{1e-3}, Engine: "qpu"},
 		{PERs: []float64{1e-3}, ErrorType: "y"},
+		{PERs: []float64{1e-3}, Code: "sc17"},
+		{PERs: []float64{1e-3}, Code: "Steane"},
 		{PERs: nil},
 		{PERs: []float64{0}},
 		{PERs: []float64{1.5}},
@@ -76,16 +78,20 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("bad spec %d validated: %+v", i, s)
 		}
 	}
-	if err := pipelineTestSpec().Normalized().Validate(); err != nil {
-		t.Errorf("good spec rejected: %v", err)
-	}
-	// SweepConfig round trip preserves the computation.
-	cfg, err := pipelineTestSpec().SweepConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := SpecOf(cfg); !reflect.DeepEqual(got.Normalized(), pipelineTestSpec().Normalized()) {
-		t.Errorf("Spec → SweepConfig → Spec drifted: %+v", got)
+	steane := pipelineTestSpec()
+	steane.Code = CodeNameSteane
+	for _, good := range []Spec{pipelineTestSpec(), steane} {
+		if err := good.Normalized().Validate(); err != nil {
+			t.Errorf("good spec rejected: %v", err)
+		}
+		// SweepConfig round trip preserves the computation.
+		cfg, err := good.SweepConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := SpecOf(cfg); !reflect.DeepEqual(got.Normalized(), good.Normalized()) {
+			t.Errorf("Spec → SweepConfig → Spec drifted: %+v", got)
+		}
 	}
 }
 

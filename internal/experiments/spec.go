@@ -18,13 +18,23 @@ const (
 	EngineNameSparse   = "sparse"
 )
 
+// CodeNameSteane is the serialized name of the Steane code. SC17 is
+// spelled as the empty string, so an SC17 spec or shard carries no code
+// field at all.
+const CodeNameSteane = "steane"
+
 // Spec is the serializable form of a SweepConfig: the pure inputs of a
 // sweep, with the runtime-only fields (Workers, Progress) stripped.
 // Results are a pure function of a normalized Spec — same Spec, same
 // bits, for any worker count, process, or machine.
 type Spec struct {
-	// Engine selects the simulation engine: "stack" or "framesim".
+	// Engine selects the simulation engine: "stack", "framesim" or
+	// "sparse".
 	Engine string `json:"engine"`
+	// Code selects the QEC code: "steane", or empty for SC17. It is
+	// omitted from the canonical JSON for SC17, so an SC17 spec's hash,
+	// shard keys and job ID do not depend on the field.
+	Code string `json:"code,omitempty"`
 	// PERs are the physical error rates of the sweep points.
 	PERs []float64 `json:"pers"`
 	// Samples is the number of Monte-Carlo repetitions per point.
@@ -66,8 +76,13 @@ func SpecOf(cfg SweepConfig) Spec {
 	if cfg.ErrorType == LogicalZ {
 		et = "z"
 	}
+	code := ""
+	if cfg.Code == CodeSteane {
+		code = CodeNameSteane
+	}
 	return Spec{
 		Engine:           cfg.Engine.String(),
+		Code:             code,
 		PERs:             cfg.PERs,
 		Samples:          cfg.Samples,
 		ErrorType:        et,
@@ -89,9 +104,22 @@ func (s Spec) SweepConfig() (SweepConfig, error) {
 	if err := s.Validate(); err != nil {
 		return SweepConfig{}, err
 	}
-	engine, err := ParseEngine(s.Engine)
-	if err != nil {
-		return SweepConfig{}, err
+	return s.sweepConfig(), nil
+}
+
+// sweepConfig is SweepConfig for a spec that is already Normalized and
+// Validated.
+func (s Spec) sweepConfig() SweepConfig {
+	engine := EngineStack
+	switch s.Engine {
+	case EngineNameFrameSim:
+		engine = EngineFrameSim
+	case EngineNameSparse:
+		engine = EngineSparse
+	}
+	code := CodeSC17
+	if s.Code == CodeNameSteane {
+		code = CodeSteane
 	}
 	et := LogicalX
 	if s.ErrorType == "z" {
@@ -99,6 +127,7 @@ func (s Spec) SweepConfig() (SweepConfig, error) {
 	}
 	return SweepConfig{
 		Engine:           engine,
+		Code:             code,
 		PERs:             s.PERs,
 		Samples:          s.Samples,
 		ErrorType:        et,
@@ -110,7 +139,7 @@ func (s Spec) SweepConfig() (SweepConfig, error) {
 		AdaptRelWidth:    s.AdaptRelWidth,
 		AdaptMinSamples:  s.AdaptMinSamples,
 		AdaptBatch:       s.AdaptBatch,
-	}, nil
+	}
 }
 
 // Normalized fills the defaulted fields with their effective values, so
@@ -165,6 +194,11 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("spec: unknown engine %q (want %s, %s or %s)",
 			s.Engine, EngineNameStack, EngineNameFrameSim, EngineNameSparse)
+	}
+	switch s.Code {
+	case "", CodeNameSteane:
+	default:
+		return fmt.Errorf("spec: unknown code %q (want %s, or no code for SC17)", s.Code, CodeNameSteane)
 	}
 	switch s.ErrorType {
 	case "x", "z":
@@ -297,7 +331,10 @@ func (s Spec) WordSeeds(sh Shard) []int64 {
 // contract), which makes the struct the natural content-address key for
 // the sweep result cache.
 type ShardConfig struct {
-	Engine           string  `json:"engine"`
+	Engine string `json:"engine"`
+	// Code is the spec's code: "steane", or omitted for SC17 so SC17
+	// shard keys are unchanged.
+	Code             string  `json:"code,omitempty"`
 	PER              float64 `json:"per"`
 	ErrorType        string  `json:"error_type"`
 	WithPauliFrame   bool    `json:"with_pauli_frame"`
@@ -323,6 +360,7 @@ func (s Spec) ShardConfig(sh Shard) ShardConfig {
 	s = s.Normalized()
 	sc := ShardConfig{
 		Engine:           s.Engine,
+		Code:             s.Code,
 		PER:              s.PERs[sh.Point],
 		ErrorType:        s.ErrorType,
 		WithPauliFrame:   s.WithPauliFrame,

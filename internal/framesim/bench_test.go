@@ -143,7 +143,7 @@ func BenchmarkSteaneFrameWindow(b *testing.B) {
 			e := benchSteane(b, 2e-3, false)
 			e.cfg.MaxWindows = 1
 			res := make([]ShotResult, 64*w)
-			st := newRunState(&e.tapeExec, e.esm.NumMeas(), e.probe.NumMeas(), benchSeeds(w), nil)
+			st := e.newRunState(benchSeeds(w), nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -13,8 +13,7 @@
 // qubits). A batch may carry W ∈ {1..8} such words per plane (64·W shots
 // per propagate pass); every 64-shot word is an independent run with its
 // own seed, RNG and channel samplers, so lane word k of a W-wide run is
-// bit-identical to a width-1 run from the same seed, and wide batches
-// shard across cores word-by-word without any cross-word coupling.
+// bit-identical to a width-1 run from the same seed.
 //
 // Exactness rests on the protocol's structure: after the noiseless
 // initialization the state is the unique all-(+1)-stabilizer logical
@@ -46,15 +45,11 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/chp"
 	"repro/internal/circuit"
 	"repro/internal/decoder"
-	"repro/internal/gates"
 	"repro/internal/layers"
-	"repro/internal/qpdo"
 	"repro/internal/surface"
 )
 
@@ -160,12 +155,7 @@ type WindowTrace struct {
 // tables and channel constants. RunBatch carries all mutable state in a
 // private runState, so one Engine may serve many goroutines concurrently.
 type Engine struct {
-	cfg Config
-	tapeExec
-
-	esm, probe       *Tape
-	esmFused         *fusedProg
-	refESM, refProbe []uint64
+	protocol
 
 	// groupOfSite/bitOfSite map ESM measurement sites to hardware ancilla
 	// groups (0 = A, ancillas 9..12; 1 = B) and syndrome bits.
@@ -176,13 +166,6 @@ type Engine struct {
 	// orientation); swapped after the logical Hadamard of ObserveZ.
 	gateAIsZ     bool
 	intersection bool
-
-	// esmOps/esmSlots are the per-round circuit sizes for the ops
-	// accounting (48 and 8 for a full SC17 round).
-	esmOps, esmSlots int
-
-	// Noiseless-round shortcut (newShortcut).
-	sc shortcut
 }
 
 // tapeExec is the executor core shared by the protocol front-ends (the
@@ -233,78 +216,51 @@ func uFrac(f float64) uint64 {
 	return uint64(f * 18446744073709551616.0) // f·2⁶⁴, exact to float64 precision
 }
 
-// New compiles the windows protocol for one configuration: it builds a
-// noiseless reference stack (ninja star over a CHP tableau), initializes
-// the logical qubit exactly like the harness, compiles the ESM and probe
-// circuits to tapes, and fixes the reference outcomes by running each
-// tape on the tableau — twice, verifying the reference is deterministic
-// and stationary (it must be: the post-init state carries all +1
-// stabilizers), so frame propagation against fixed reference words is
-// exact.
+// New compiles the windows protocol for one configuration: a noiseless
+// reference stack (ninja star over a CHP tableau) runs the shared compile
+// step (compileProtocol) with the star's ESM round and the observable's
+// probe, then the engine wires the SC17 decoder: ESM measurement sites
+// to hardware ancilla groups and syndrome bits, and the LUTs.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, err
-	}
-	chpCore := layers.NewChpCore(rand.New(rand.NewSource(cfg.RefSeed)))
-	star := surface.NewNinjaStarLayer(chpCore, surface.Config{
+	core := layers.NewChpCore(rand.New(rand.NewSource(cfg.RefSeed)))
+	star := surface.NewNinjaStarLayer(core, surface.Config{
 		Ancilla:     surface.AncillaDedicated,
 		InitRounds:  cfg.InitRounds,
 		DecoderRule: cfg.DecoderRule,
 	})
-	if err := star.CreateQubits(1); err != nil {
-		return nil, err
-	}
-	init := circuit.New().Add(gates.Prep, 0)
-	if cfg.Observable == ObserveZ {
-		init.Add(gates.H, 0)
-	}
-	if _, err := qpdo.Run(star, init); err != nil {
-		return nil, err
-	}
-
-	st := star.Star(0)
-	n := chpCore.NumQubits()
-	// The tapes address physical qubits; correction masks address
-	// relative data indices. With one star on a fresh core they coincide.
-	for d := 0; d < surface.NumData; d++ {
-		if st.Data[d] != d {
-			return nil, fmt.Errorf("framesim: data qubit %d placed at %d; expected identity layout", d, st.Data[d])
+	var st *surface.Star
+	p, err := compileProtocol(cfg, core, star, 2, func() (*circuit.Circuit, *circuit.Circuit, error) {
+		st = star.Star(0)
+		// The tapes address physical qubits; correction masks address
+		// relative data indices. With one star on a fresh core they
+		// coincide.
+		for d := 0; d < surface.NumData; d++ {
+			if st.Data[d] != d {
+				return nil, nil, fmt.Errorf("framesim: data qubit %d placed at %d; expected identity layout", d, st.Data[d])
+			}
 		}
-	}
-
-	esmC := st.ESMCircuit()
-	probeC := st.ProbeZLCircuit()
-	if cfg.Observable == ObserveZ {
-		probeC = st.ProbeXLCircuit()
-	}
-	esm, err := Compile(esmC, n)
-	if err != nil {
-		return nil, err
-	}
-	probe, err := Compile(probeC, n)
+		if cfg.Observable == ObserveZ {
+			return st.ESMCircuit(), st.ProbeXLCircuit(), nil
+		}
+		return st.ESMCircuit(), st.ProbeZLCircuit(), nil
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	e := &Engine{
-		cfg:          cfg,
-		tapeExec:     tapeExec{n: n, chanParams: newChanParams(cfg.Model)},
-		esm:          esm,
-		probe:        probe,
+		protocol:     p,
 		lutA:         decoder.BuildLUT(surface.XSupports(surface.RotNormal), surface.NumData),
 		lutB:         decoder.BuildLUT(surface.ZSupports(surface.RotNormal), surface.NumData),
 		gateAIsZ:     st.Rotation == surface.RotNormal,
 		intersection: cfg.DecoderRule == decoder.RuleIntersection,
-		esmOps:       esmC.NumOps(),
-		esmSlots:     esmC.NumSlots(),
 	}
-
-	e.groupOfSite = make([]uint8, esm.NumMeas())
-	e.bitOfSite = make([]uint8, esm.NumMeas())
+	e.groupOfSite = make([]uint8, e.esm.NumMeas())
+	e.bitOfSite = make([]uint8, e.esm.NumMeas())
 	var seen [2][4]bool
-	for i := 0; i < esm.NumMeas(); i++ {
-		q := esm.MeasQubit(i)
+	for i := 0; i < e.esm.NumMeas(); i++ {
+		q := e.esm.MeasQubit(i)
 		rel := -1
 		for a, phys := range st.Anc {
 			if phys == q {
@@ -329,36 +285,6 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 	}
-
-	tab := chpCore.Tableau()
-	if e.refESM, err = refRun(tab, esm); err != nil {
-		return nil, err
-	}
-	again, err := refRun(tab, esm)
-	if err != nil {
-		return nil, err
-	}
-	if !equalWords(e.refESM, again) {
-		return nil, fmt.Errorf("framesim: ESM reference outcomes are not stationary")
-	}
-	if e.refProbe, err = refRun(tab, probe); err != nil {
-		return nil, err
-	}
-	if again, err = refRun(tab, probe); err != nil {
-		return nil, err
-	}
-	if !equalWords(e.refProbe, again) {
-		return nil, fmt.Errorf("framesim: probe reference outcome is not stationary")
-	}
-	// The probe must be QND with respect to the ESM reference.
-	if again, err = refRun(tab, esm); err != nil {
-		return nil, err
-	}
-	if !equalWords(e.refESM, again) {
-		return nil, fmt.Errorf("framesim: probe disturbs the ESM reference outcomes")
-	}
-	e.sc = newShortcut(esm, probe, n, e.refProbe)
-	e.esmFused = fuseTape(esm, e.corrPair)
 	return e, nil
 }
 
@@ -541,12 +467,6 @@ func newShortcut(esm, probe *Tape, n int, refProbe []uint64) shortcut {
 	}
 }
 
-// ESMSites lists the error-injection sites of one ESM round (Round 0 in
-// every returned Site); scripted callers offset Round per execution. Each
-// noisy window consumes two rounds, so a W-window scripted run draws
-// rounds 0..2W-1.
-func (e *Engine) ESMSites() []Site { return e.esm.Sites() }
-
 // refRun executes a tape on the reference tableau and returns the
 // broadcast outcome word per measurement site (0 or all-ones). Any
 // non-deterministic measurement is an error: the frame engine's exactness
@@ -604,9 +524,8 @@ func equalWords(a, b []uint64) bool {
 
 // laneRun is the independent sampling state of one 64-shot word: its own
 // RNG and channel samplers. Word independence is what makes lane
-// extraction exact (word k of a W-wide run replays a width-1 run from
-// the same seed bit-for-bit) and wide worker sharding trivially
-// deterministic.
+// extraction exact: word k of a W-wide run replays a width-1 run from
+// the same seed bit-for-bit.
 type laneRun struct {
 	rng                *rand.Rand
 	single, meas, pair sampler
@@ -632,45 +551,6 @@ type runState struct {
 	round  int
 	active []uint64
 	inj    []int
-}
-
-func (e *Engine) newRunState(seeds []int64, script Script) *runState {
-	return newRunState(&e.tapeExec, e.esm.NumMeas(), e.probe.NumMeas(), seeds, script)
-}
-
-// newRunState allocates the mutable state of one run: a W-wide batch on
-// x.n qubits, one laneRun per word (RNG first, then — in sampled mode —
-// the single/meas/pair samplers in that fixed draw order), and outcome
-// scratch sized for esmMeas/probeMeas measurement sites per round.
-func newRunState(x *tapeExec, esmMeas, probeMeas int, seeds []int64, script Script) *runState {
-	w := len(seeds)
-	st := &runState{
-		b:        NewBatchWide(x.n, w),
-		w:        w,
-		lanes:    make([]laneRun, w),
-		script:   script,
-		r1:       make([]uint64, esmMeas*w),
-		r2:       make([]uint64, esmMeas*w),
-		diag:     make([]uint64, esmMeas*w),
-		probeOut: make([]uint64, probeMeas*w),
-		carryA:   make([][4]uint64, w),
-		carryB:   make([][4]uint64, w),
-		expected: make([]uint64, w),
-		active:   make([]uint64, w),
-		inj:      make([]int, 64*w),
-	}
-	for k, seed := range seeds {
-		l := &st.lanes[k]
-		l.rng = rand.New(rand.NewSource(seed))
-		if script == nil {
-			l.single = newSampler(x.p, l.rng)
-			l.meas = newSampler(x.pMeas, l.rng)
-			if x.corrPair {
-				l.pair = newSampler(x.p, l.rng)
-			}
-		}
-	}
-	return st
 }
 
 // checkWide validates a wide batch request: 1..MaxLanes seed words, and
@@ -716,49 +596,6 @@ func (e *Engine) RunBatchWide(seeds []int64, shots int) ([]ShotResult, error) {
 	return res[:shots], nil
 }
 
-// RunBatchWideWorkers is RunBatchWide with the lane words sharded across
-// up to `workers` goroutines in fixed contiguous blocks. Because every
-// word is an independent run, the folded result is bit-identical for any
-// worker count — including RunBatchWide itself (workers = 1).
-func (e *Engine) RunBatchWideWorkers(seeds []int64, shots, workers int) ([]ShotResult, error) {
-	if err := checkWide(seeds, shots); err != nil {
-		return nil, err
-	}
-	w := len(seeds)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > w {
-		workers = w
-	}
-	if workers == 1 {
-		return e.RunBatchWide(seeds, shots)
-	}
-	res := make([]ShotResult, shots)
-	block := (w + workers - 1) / workers
-	var wg sync.WaitGroup
-	for c0 := 0; c0 < w; c0 += block {
-		c1 := c0 + block
-		if c1 > w {
-			c1 = w
-		}
-		chunkShots := shots - c0*64
-		if chunkShots > (c1-c0)*64 {
-			chunkShots = (c1 - c0) * 64
-		}
-		wg.Add(1)
-		go func(c0, c1, chunkShots int) {
-			defer wg.Done()
-			st := e.newRunState(seeds[c0:c1], nil)
-			sub := make([]ShotResult, 64*(c1-c0))
-			e.runWindows(st, sub, chunkShots, 0, nil)
-			copy(res[c0*64:c0*64+chunkShots], sub[:chunkShots])
-		}(c0, c1, chunkShots)
-	}
-	wg.Wait()
-	return res, nil
-}
-
 // RunScripted runs exactly `windows` QEC windows of a single shot with
 // the Script's errors injected instead of sampled noise, recording a
 // WindowTrace per window. Caps
@@ -793,29 +630,11 @@ func (e *Engine) RunScripted(windows int, script Script) ([]WindowTrace, ShotRes
 // live word ever observes its RNG stream.
 func (e *Engine) runWindows(st *runState, res []ShotResult, shots, scriptWindows int, traces *[]WindowTrace) {
 	W := st.w
-	for k := 0; k < W; k++ {
-		lanes := shots - 64*k
-		if lanes >= 64 {
-			st.active[k] = ^uint64(0)
-		} else if lanes > 0 {
-			st.active[k] = uint64(1)<<uint(lanes) - 1
-		}
-	}
+	st.activate(shots)
 	var corrMask [64]uint16
 	var tr WindowTrace
 	w := 0
-	for {
-		if st.script == nil {
-			live := uint64(0)
-			for k := 0; k < W; k++ {
-				live |= st.active[k]
-			}
-			if live == 0 || w >= e.cfg.MaxWindows {
-				break
-			}
-		} else if w >= scriptWindows {
-			break
-		}
+	for e.more(st, w, scriptWindows) {
 		w++
 
 		// Two noisy ESM rounds: the fused program in sampled mode, the
@@ -894,88 +713,19 @@ func (e *Engine) runWindows(st *runState, res []ShotResult, shots, scriptWindows
 			}
 		}
 
-		// Noiseless diagnostic round; only all-clean lanes are probed.
-		// With the compile-time shortcut the outcomes are evaluated as
-		// linear functionals of the frame planes; the fallback executes
-		// the tapes.
-		nm := e.esm.NumMeas()
-		probeBase := (e.probe.NumMeas() - 1) * W
-		if !e.sc.ok {
-			e.runTape(st, e.esm, e.refESM, false, st.diag)
-			e.runTape(st, e.probe, e.refProbe, false, st.probeOut)
-		}
-		for k := 0; k < W; k++ {
-			if st.script == nil && st.active[k] == 0 {
-				continue
-			}
-			clean := ^uint64(0)
-			var out uint64
-			if e.sc.ok {
-				for i := 0; i < nm; i++ {
-					v := e.refESM[i]
-					for m := e.sc.diagX[i]; m != 0; m &= m - 1 {
-						v ^= st.b.fx[bits.TrailingZeros64(m)*W+k]
-					}
-					for m := e.sc.diagZ[i]; m != 0; m &= m - 1 {
-						v ^= st.b.fz[bits.TrailingZeros64(m)*W+k]
-					}
-					st.diag[i*W+k] = v
-					clean &^= v
-				}
-				out = e.sc.probeRef
-				for m := e.sc.probeX; m != 0; m &= m - 1 {
-					out ^= st.b.fx[bits.TrailingZeros64(m)*W+k]
-				}
-				for m := e.sc.probeZ; m != 0; m &= m - 1 {
-					out ^= st.b.fz[bits.TrailingZeros64(m)*W+k]
-				}
-			} else {
-				for i := 0; i < nm; i++ {
-					clean &^= st.diag[i*W+k]
-				}
-				out = st.probeOut[probeBase+k]
-			}
-			flips := (out ^ st.expected[k]) & clean
-			st.expected[k] ^= flips
-			for m := flips & st.active[k]; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				r := &res[k*64+j]
-				r.LogicalErrors++
-				if st.script == nil && r.LogicalErrors >= e.cfg.MaxLogicalErrors {
-					st.active[k] &^= uint64(1) << uint(j)
-					r.Windows = w
-				}
-			}
-			if k == 0 && traces != nil {
-				var da, db [4]uint64
-				gather(e, st.diag, 0, W, &da, &db)
-				tr.DiagA, tr.DiagB = synAt(&da, 0), synAt(&db, 0)
-				tr.Clean = clean&1 == 1
-				if tr.Clean {
-					tr.Probe = int(out & 1)
-				}
-			}
-		}
+		clean, out := e.diagnose(st, res, w)
 		if traces != nil {
+			var da, db [4]uint64
+			gather(e, st.diag, 0, W, &da, &db)
+			tr.DiagA, tr.DiagB = synAt(&da, 0), synAt(&db, 0)
+			tr.Clean = clean&1 == 1
+			if tr.Clean {
+				tr.Probe = int(out & 1)
+			}
 			*traces = append(*traces, tr)
 		}
 	}
-	for idx := 0; idx < shots; idx++ {
-		k, j := idx/64, idx%64
-		r := &res[idx]
-		if st.active[k]>>uint(j)&1 == 1 {
-			r.Windows = w
-		}
-		r.InjectedErrors = st.inj[idx]
-		r.OpsIssued = r.Windows*2*e.esmOps + r.CorrectionGates
-		r.SlotsIssued = r.Windows*2*e.esmSlots + r.CorrectionSlots
-		r.OpsExecuted = r.OpsIssued
-		r.SlotsExecuted = r.SlotsIssued
-		if e.cfg.WithPauliFrame {
-			r.OpsExecuted -= r.CorrectionGates
-			r.SlotsExecuted -= r.CorrectionSlots
-		}
-	}
+	e.finish(st, res, shots, w)
 }
 
 // runTape propagates all lane words' frames through one tape. inject

@@ -40,8 +40,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // defaultDenseThreshold is the dirty-qubit population at which a tape
@@ -242,13 +240,9 @@ func (s *Sparse) newRun(seed int64, script Script) *sparseRun {
 // canonicalization makes no bitwise promise — see the package comment).
 // Safe for concurrent use on one Sparse.
 func (s *Sparse) RunBatch(seed int64, shots int) ([]ShotResult, error) {
-	if shots < 1 || shots > 64 {
-		return nil, fmt.Errorf("framesim: batch width %d outside 1..64", shots)
-	}
-	st := s.newRun(seed, nil)
-	var res [64]ShotResult
-	s.runWindows(st, &res, shots, 0, nil)
-	return append([]ShotResult(nil), res[:shots]...), nil
+	var seeds [1]int64
+	seeds[0] = seed
+	return s.RunBatchWide(seeds[:], shots)
 }
 
 // RunBatchWide runs up to 64·len(seeds) shots as len(seeds) independent
@@ -259,57 +253,20 @@ func (s *Sparse) RunBatch(seed int64, shots int) ([]ShotResult, error) {
 // bit-identical to len(seeds) RunBatch calls — and hence to the dense
 // engine's lane-extraction contract for the word seeds.
 func (s *Sparse) RunBatchWide(seeds []int64, shots int) ([]ShotResult, error) {
-	return s.RunBatchWideWorkers(seeds, shots, 1)
-}
-
-// RunBatchWideWorkers is RunBatchWide with the word runs sharded across
-// up to `workers` goroutines in fixed contiguous blocks. Word
-// independence makes the folded result bit-identical for any worker
-// count.
-func (s *Sparse) RunBatchWideWorkers(seeds []int64, shots, workers int) ([]ShotResult, error) {
 	if err := checkWide(seeds, shots); err != nil {
 		return nil, err
 	}
-	w := len(seeds)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > w {
-		workers = w
-	}
 	res := make([]ShotResult, shots)
-	runWord := func(k int) {
+	for k, seed := range seeds {
 		wordShots := shots - 64*k
 		if wordShots > 64 {
 			wordShots = 64
 		}
-		st := s.newRun(seeds[k], nil)
+		st := s.newRun(seed, nil)
 		var sub [64]ShotResult
 		s.runWindows(st, &sub, wordShots, 0, nil)
-		copy(res[64*k:64*k+wordShots], sub[:wordShots])
+		copy(res[64*k:], sub[:wordShots])
 	}
-	if workers == 1 {
-		for k := 0; k < w; k++ {
-			runWord(k)
-		}
-		return res, nil
-	}
-	block := (w + workers - 1) / workers
-	var wg sync.WaitGroup
-	for c0 := 0; c0 < w; c0 += block {
-		c1 := c0 + block
-		if c1 > w {
-			c1 = w
-		}
-		wg.Add(1)
-		go func(c0, c1 int) {
-			defer wg.Done()
-			for k := c0; k < c1; k++ {
-				runWord(k)
-			}
-		}(c0, c1)
-	}
-	wg.Wait()
 	return res, nil
 }
 

@@ -1,10 +1,10 @@
 // Steane [[7,1,3]] front-end for the bit-sliced frame executor: the same
-// tape compiler, fused noise runs, lane layout and worker sharding as the
-// SC17 Engine, driving the Steane layer's ESM/decode cycle instead of the
-// ninja star's. The Hamming decode is word-parallel: the two-round
-// agreement rule is a handful of boolean plane ops, and the "syndrome
-// spells the faulty qubit" rule becomes seven 3-AND match masks — no
-// scalar per-lane decode at all.
+// compile step, fused noise runs, lane layout, diagnostic step and shot
+// accounting as the SC17 Engine (protocol.go), driving the Steane layer's
+// ESM/decode cycle instead of the ninja star's. The Hamming decode is
+// word-parallel: the two-round agreement rule is a handful of boolean
+// plane ops, and the "syndrome spells the faulty qubit" rule becomes
+// seven 3-AND match masks — no scalar per-lane decode at all.
 
 package framesim
 
@@ -12,13 +12,9 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"repro/internal/circuit"
-	"repro/internal/gates"
 	"repro/internal/layers"
-	"repro/internal/qpdo"
 	"repro/internal/steane"
 )
 
@@ -48,19 +44,11 @@ type SteaneTrace struct {
 // two-round-agreement Hamming decode with corrections, then the
 // noiseless diagnostic round and probe shared with the SC17 protocol.
 type SteaneEngine struct {
-	cfg Config
-	tapeExec
-
-	esm, probe       *Tape
-	esmFused         *fusedProg
-	refESM, refProbe []uint64
+	protocol
 
 	// siteOfCheck maps check c (0..2 X checks, 3..5 Z checks) to its ESM
 	// measurement site.
 	siteOfCheck [steane.NumAncilla]int
-
-	esmOps, esmSlots int
-	sc               shortcut
 
 	// sparse enables the whole-batch window skip: when every live lane
 	// word is canonical (zero frame, zero carried syndrome, zero
@@ -68,13 +56,12 @@ type SteaneEngine struct {
 	// pass before the next hit, and the engine jumps over all of them at
 	// once. The 13-qubit block is too small for the event-driven per-qubit
 	// machinery of the SC17 sparse engine to pay off; window-granular gap
-	// skipping captures the same low-p asymptotics.
+	// skipping captures the same low-p asymptotics. The skip needs frame
+	// canonicalization (protocol.canon), which identifies "zero frame"
+	// with "reference outcomes": the reference words must be zero (they
+	// are — the post-init state carries all +1 stabilizers — but the
+	// engine verifies rather than assumes).
 	sparse bool
-	// zeroRefs gates frame canonicalization and the sparse skip: both
-	// identify "zero frame" with "reference outcomes", which requires the
-	// reference words to be zero (they are — the post-init state carries
-	// all +1 stabilizers — but the engine verifies rather than assumes).
-	zeroRefs bool
 }
 
 // NewSteane compiles the Steane windows protocol for one configuration.
@@ -91,115 +78,46 @@ func NewSteaneSparse(cfg Config) (*SteaneEngine, error) { return newSteane(cfg, 
 
 func newSteane(cfg Config, sparse bool) (*SteaneEngine, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, err
-	}
-	chpCore := layers.NewChpCore(rand.New(rand.NewSource(cfg.RefSeed)))
-	lay := steane.NewLayer(chpCore)
-	if err := lay.CreateQubits(1); err != nil {
-		return nil, err
-	}
-	init := circuit.New().Add(gates.Prep, 0)
-	if cfg.Observable == ObserveZ {
-		init.Add(gates.H, 0)
-	}
-	if _, err := qpdo.Run(lay, init); err != nil {
-		return nil, err
-	}
-
-	data, anc := lay.Block(0)
-	n := chpCore.NumQubits()
-	// The tapes address physical qubits; the decode masks address data
-	// indices. With one block on a fresh core they coincide.
-	for d := 0; d < steane.NumData; d++ {
-		if data[d] != d {
-			return nil, fmt.Errorf("framesim: steane data qubit %d placed at %d; expected identity layout", d, data[d])
+	core := layers.NewChpCore(rand.New(rand.NewSource(cfg.RefSeed)))
+	lay := steane.NewLayer(core)
+	p, err := compileProtocol(cfg, core, lay, 1, func() (*circuit.Circuit, *circuit.Circuit, error) {
+		// The tapes address physical qubits; the decode masks address
+		// data indices. With one block on a fresh core they coincide.
+		data, anc := lay.Block(0)
+		for d := 0; d < steane.NumData; d++ {
+			if data[d] != d {
+				return nil, nil, fmt.Errorf("framesim: steane data qubit %d placed at %d; expected identity layout", d, data[d])
+			}
 		}
-	}
-	for a := 0; a < steane.NumAncilla; a++ {
-		if anc[a] != steane.NumData+a {
-			return nil, fmt.Errorf("framesim: steane ancilla %d placed at %d; expected identity layout", a, anc[a])
+		for a := 0; a < steane.NumAncilla; a++ {
+			if anc[a] != steane.NumData+a {
+				return nil, nil, fmt.Errorf("framesim: steane ancilla %d placed at %d; expected identity layout", a, anc[a])
+			}
 		}
-	}
-
-	esmC := lay.ESMCircuit(0)
-	probeC := lay.ProbeZLCircuit(0)
-	if cfg.Observable == ObserveZ {
-		probeC = lay.ProbeXLCircuit(0)
-	}
-	esm, err := Compile(esmC, n)
+		if cfg.Observable == ObserveZ {
+			return lay.ESMCircuit(0), lay.ProbeXLCircuit(0), nil
+		}
+		return lay.ESMCircuit(0), lay.ProbeZLCircuit(0), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	probe, err := Compile(probeC, n)
-	if err != nil {
-		return nil, err
+	if p.esm.NumMeas() != steane.NumAncilla {
+		return nil, fmt.Errorf("framesim: steane ESM has %d measurement sites; want %d", p.esm.NumMeas(), steane.NumAncilla)
 	}
-	if esm.NumMeas() != steane.NumAncilla {
-		return nil, fmt.Errorf("framesim: steane ESM has %d measurement sites; want %d", esm.NumMeas(), steane.NumAncilla)
-	}
-
-	e := &SteaneEngine{
-		cfg:      cfg,
-		tapeExec: tapeExec{n: n, chanParams: newChanParams(cfg.Model)},
-		esm:      esm,
-		probe:    probe,
-		esmOps:   esmC.NumOps(),
-		esmSlots: esmC.NumSlots(),
-		sparse:   sparse,
-	}
+	p.canon = p.zeroRefs()
+	e := &SteaneEngine{protocol: p, sparse: sparse}
 	var seen [steane.NumAncilla]bool
-	for i := 0; i < esm.NumMeas(); i++ {
-		c := esm.MeasQubit(i) - steane.NumData
+	for i := 0; i < e.esm.NumMeas(); i++ {
+		c := e.esm.MeasQubit(i) - steane.NumData
 		if c < 0 || c >= steane.NumAncilla || seen[c] {
-			return nil, fmt.Errorf("framesim: steane ESM site %d measures qubit %d; want each ancilla once", i, esm.MeasQubit(i))
+			return nil, fmt.Errorf("framesim: steane ESM site %d measures qubit %d; want each ancilla once", i, e.esm.MeasQubit(i))
 		}
 		seen[c] = true
 		e.siteOfCheck[c] = i
 	}
-
-	tab := chpCore.Tableau()
-	if e.refESM, err = refRun(tab, esm); err != nil {
-		return nil, err
-	}
-	again, err := refRun(tab, esm)
-	if err != nil {
-		return nil, err
-	}
-	if !equalWords(e.refESM, again) {
-		return nil, fmt.Errorf("framesim: steane ESM reference outcomes are not stationary")
-	}
-	if e.refProbe, err = refRun(tab, probe); err != nil {
-		return nil, err
-	}
-	if again, err = refRun(tab, probe); err != nil {
-		return nil, err
-	}
-	if !equalWords(e.refProbe, again) {
-		return nil, fmt.Errorf("framesim: steane probe reference outcome is not stationary")
-	}
-	if again, err = refRun(tab, esm); err != nil {
-		return nil, err
-	}
-	if !equalWords(e.refESM, again) {
-		return nil, fmt.Errorf("framesim: steane probe disturbs the ESM reference outcomes")
-	}
-	e.sc = newShortcut(esm, probe, n, e.refProbe)
-	e.esmFused = fuseTape(esm, e.corrPair)
-	e.zeroRefs = e.refProbe[probe.NumMeas()-1] == 0
-	for _, v := range e.refESM {
-		if v != 0 {
-			e.zeroRefs = false
-		}
-	}
 	return e, nil
 }
-
-// ESMSites lists the error-injection sites of one ESM round (Round 0 in
-// every returned Site); scripted callers offset Round per execution. Each
-// Steane window consumes one round, so a W-window scripted run draws
-// rounds 0..W-1.
-func (e *SteaneEngine) ESMSites() []Site { return e.esm.Sites() }
 
 // RunBatch runs up to 64 Monte-Carlo shots in one word; semantics match
 // Engine.RunBatch.
@@ -216,52 +134,10 @@ func (e *SteaneEngine) RunBatchWide(seeds []int64, shots int) ([]ShotResult, err
 	if err := checkWide(seeds, shots); err != nil {
 		return nil, err
 	}
-	st := newRunState(&e.tapeExec, e.esm.NumMeas(), e.probe.NumMeas(), seeds, nil)
+	st := e.newRunState(seeds, nil)
 	res := make([]ShotResult, 64*len(seeds))
 	e.runWindows(st, res, shots, 0, nil)
 	return res[:shots], nil
-}
-
-// RunBatchWideWorkers is RunBatchWide with the lane words sharded across
-// up to `workers` goroutines in fixed contiguous blocks; the folded
-// result is bit-identical for any worker count.
-func (e *SteaneEngine) RunBatchWideWorkers(seeds []int64, shots, workers int) ([]ShotResult, error) {
-	if err := checkWide(seeds, shots); err != nil {
-		return nil, err
-	}
-	w := len(seeds)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > w {
-		workers = w
-	}
-	if workers == 1 {
-		return e.RunBatchWide(seeds, shots)
-	}
-	res := make([]ShotResult, shots)
-	block := (w + workers - 1) / workers
-	var wg sync.WaitGroup
-	for c0 := 0; c0 < w; c0 += block {
-		c1 := c0 + block
-		if c1 > w {
-			c1 = w
-		}
-		chunkShots := shots - c0*64
-		if chunkShots > (c1-c0)*64 {
-			chunkShots = (c1 - c0) * 64
-		}
-		wg.Add(1)
-		go func(c0, c1, chunkShots int) {
-			defer wg.Done()
-			st := newRunState(&e.tapeExec, e.esm.NumMeas(), e.probe.NumMeas(), seeds[c0:c1], nil)
-			sub := make([]ShotResult, 64*(c1-c0))
-			e.runWindows(st, sub, chunkShots, 0, nil)
-			copy(res[c0*64:c0*64+chunkShots], sub[:chunkShots])
-		}(c0, c1, chunkShots)
-	}
-	wg.Wait()
-	return res, nil
 }
 
 // RunScripted runs exactly `windows` QEC windows of a single shot with
@@ -278,7 +154,7 @@ func (e *SteaneEngine) RunScripted(windows int, script Script) ([]SteaneTrace, S
 		script = Script{}
 	}
 	var seeds [1]int64
-	st := newRunState(&e.tapeExec, e.esm.NumMeas(), e.probe.NumMeas(), seeds[:], script)
+	st := e.newRunState(seeds[:], script)
 	res := make([]ShotResult, 64)
 	traces := make([]SteaneTrace, 0, windows)
 	e.runWindows(st, res, 1, windows, &traces)
@@ -291,14 +167,7 @@ func (e *SteaneEngine) RunScripted(windows int, script Script) ([]SteaneTrace, S
 // Z-check syndrome planes of the two-round agreement rule.
 func (e *SteaneEngine) runWindows(st *runState, res []ShotResult, shots, scriptWindows int, traces *[]SteaneTrace) {
 	W := st.w
-	for k := 0; k < W; k++ {
-		lanes := shots - 64*k
-		if lanes >= 64 {
-			st.active[k] = ^uint64(0)
-		} else if lanes > 0 {
-			st.active[k] = uint64(1)<<uint(lanes) - 1
-		}
-	}
+	st.activate(shots)
 	// Trial-space spans of one ESM round per channel, for the sparse skip.
 	spanSingle := int64(len(e.esmFused.singleQ)) << 6
 	spanMeas := int64(len(e.esmFused.measQ)) << 6
@@ -306,19 +175,7 @@ func (e *SteaneEngine) runWindows(st *runState, res []ShotResult, shots, scriptW
 	prevValid := false
 	var tr SteaneTrace
 	w := 0
-	for {
-		if st.script == nil {
-			live := uint64(0)
-			for k := 0; k < W; k++ {
-				live |= st.active[k]
-			}
-			if live == 0 || w >= e.cfg.MaxWindows {
-				break
-			}
-		} else if w >= scriptWindows {
-			break
-		}
-
+	for e.more(st, w, scriptWindows) {
 		// Sparse whole-batch skip: when every live word is canonical (all
 		// plane, carried-syndrome and expectation bits zero) a window with
 		// no channel hits changes nothing — frame stays zero, syndromes
@@ -327,7 +184,7 @@ func (e *SteaneEngine) runWindows(st *runState, res []ShotResult, shots, scriptW
 		// lie ahead; jump them all, advancing each live word's samplers by
 		// the skipped trial spans (bit-identical to running the empty
 		// windows: no gap is drawn between hits).
-		if st.script == nil && e.sparse && e.zeroRefs {
+		if st.script == nil && e.sparse && e.canon {
 			nSkip := int64(e.cfg.MaxWindows - w)
 			for k := 0; k < W && nSkip > 0; k++ {
 				if st.active[k] == 0 {
@@ -480,107 +337,20 @@ func (e *SteaneEngine) runWindows(st *runState, res []ShotResult, shots, scriptW
 		}
 		prevValid = true
 
-		// Noiseless diagnostic round and probe, via the compile-time
-		// linear shortcut or the tape fallback; only all-clean lanes are
-		// probed.
-		nm := e.esm.NumMeas()
-		probeBase := (e.probe.NumMeas() - 1) * W
-		if !e.sc.ok {
-			e.runTape(st, e.esm, e.refESM, false, st.diag)
-			e.runTape(st, e.probe, e.refProbe, false, st.probeOut)
-		}
-		for k := 0; k < W; k++ {
-			if st.script == nil && st.active[k] == 0 {
-				continue
-			}
-			clean := ^uint64(0)
-			var out uint64
-			if e.sc.ok {
-				for i := 0; i < nm; i++ {
-					v := e.refESM[i]
-					for m := e.sc.diagX[i]; m != 0; m &= m - 1 {
-						v ^= st.b.fx[bits.TrailingZeros64(m)*W+k]
-					}
-					for m := e.sc.diagZ[i]; m != 0; m &= m - 1 {
-						v ^= st.b.fz[bits.TrailingZeros64(m)*W+k]
-					}
-					st.diag[i*W+k] = v
-					clean &^= v
-				}
-				out = e.sc.probeRef
-				for m := e.sc.probeX; m != 0; m &= m - 1 {
-					out ^= st.b.fx[bits.TrailingZeros64(m)*W+k]
-				}
-				for m := e.sc.probeZ; m != 0; m &= m - 1 {
-					out ^= st.b.fz[bits.TrailingZeros64(m)*W+k]
-				}
-			} else {
-				for i := 0; i < nm; i++ {
-					clean &^= st.diag[i*W+k]
-				}
-				out = st.probeOut[probeBase+k]
-			}
-			flips := (out ^ st.expected[k]) & clean
-			st.expected[k] ^= flips
-			for m := flips & st.active[k]; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				r := &res[k*64+j]
-				r.LogicalErrors++
-				if st.script == nil && r.LogicalErrors >= e.cfg.MaxLogicalErrors {
-					st.active[k] &^= uint64(1) << uint(j)
-					r.Windows = w
-				}
-			}
-			// Frame canonicalization (sampled mode only): a clean lane's
-			// frame produces no syndrome and its probe effect has just
-			// been folded into the expectation, so replacing frame and
-			// expectation by zero is unobservable — syndromes were going
-			// to read zero either way, and future probes of the zeroed
-			// frame read the (zero) reference, matching the zeroed
-			// expectation. This is what makes long quiet stretches
-			// canonical and therefore skippable in sparse mode; applying
-			// it in dense mode too keeps the two modes bit-identical.
-			if st.script == nil && e.zeroRefs {
-				if canon := clean; canon != 0 {
-					for q := 0; q < e.n; q++ {
-						st.b.fx[q*W+k] &^= canon
-						st.b.fz[q*W+k] &^= canon
-					}
-					st.expected[k] &^= canon
-				}
-			}
-			if k == 0 && traces != nil {
-				dsx := int(st.diag[e.siteOfCheck[0]*W]&1) |
-					int(st.diag[e.siteOfCheck[1]*W]&1)<<1 |
-					int(st.diag[e.siteOfCheck[2]*W]&1)<<2
-				dsz := int(st.diag[e.siteOfCheck[3]*W]&1) |
-					int(st.diag[e.siteOfCheck[4]*W]&1)<<1 |
-					int(st.diag[e.siteOfCheck[5]*W]&1)<<2
-				tr.DiagSX, tr.DiagSZ = dsx, dsz
-				tr.Clean = clean&1 == 1
-				if tr.Clean {
-					tr.Probe = int(out & 1)
-				}
-			}
-		}
+		clean, out := e.diagnose(st, res, w)
 		if traces != nil {
+			tr.DiagSX = int(st.diag[e.siteOfCheck[0]*W]&1) |
+				int(st.diag[e.siteOfCheck[1]*W]&1)<<1 |
+				int(st.diag[e.siteOfCheck[2]*W]&1)<<2
+			tr.DiagSZ = int(st.diag[e.siteOfCheck[3]*W]&1) |
+				int(st.diag[e.siteOfCheck[4]*W]&1)<<1 |
+				int(st.diag[e.siteOfCheck[5]*W]&1)<<2
+			tr.Clean = clean&1 == 1
+			if tr.Clean {
+				tr.Probe = int(out & 1)
+			}
 			*traces = append(*traces, tr)
 		}
 	}
-	for idx := 0; idx < shots; idx++ {
-		k, j := idx/64, idx%64
-		r := &res[idx]
-		if st.active[k]>>uint(j)&1 == 1 {
-			r.Windows = w
-		}
-		r.InjectedErrors = st.inj[idx]
-		r.OpsIssued = r.Windows*e.esmOps + r.CorrectionGates
-		r.SlotsIssued = r.Windows*e.esmSlots + r.CorrectionSlots
-		r.OpsExecuted = r.OpsIssued
-		r.SlotsExecuted = r.SlotsIssued
-		if e.cfg.WithPauliFrame {
-			r.OpsExecuted -= r.CorrectionGates
-			r.SlotsExecuted -= r.CorrectionSlots
-		}
-	}
+	e.finish(st, res, shots, w)
 }

@@ -7,12 +7,11 @@ import (
 	"repro/internal/layers"
 )
 
-// wideRunner abstracts the three engines' wide batch entry points so the
-// lane-extraction and worker-invariance properties are pinned uniformly.
+// wideRunner abstracts the four engines' wide batch entry points so the
+// lane-extraction property is pinned uniformly.
 type wideRunner struct {
-	name    string
-	run     func(seeds []int64, shots int) ([]framesim.ShotResult, error)
-	workers func(seeds []int64, shots, workers int) ([]framesim.ShotResult, error)
+	name string
+	run  func(seeds []int64, shots int) ([]framesim.ShotResult, error)
 }
 
 func wideRunners(t *testing.T, cfg framesim.Config) []wideRunner {
@@ -34,10 +33,10 @@ func wideRunners(t *testing.T, cfg framesim.Config) []wideRunner {
 		t.Fatal(err)
 	}
 	return []wideRunner{
-		{"dense", dense.RunBatchWide, dense.RunBatchWideWorkers},
-		{"sparse", sparse.RunBatchWide, sparse.RunBatchWideWorkers},
-		{"steane", steaneDense.RunBatchWide, steaneDense.RunBatchWideWorkers},
-		{"steane-sparse", steaneSparse.RunBatchWide, steaneSparse.RunBatchWideWorkers},
+		{"dense", dense.RunBatchWide},
+		{"sparse", sparse.RunBatchWide},
+		{"steane", steaneDense.RunBatchWide},
+		{"steane-sparse", steaneSparse.RunBatchWide},
 	}
 }
 
@@ -87,40 +86,6 @@ func TestWideLaneExtraction(t *testing.T) {
 					if res != wide[64*k+j] {
 						t.Fatalf("%s w=%d word %d shot %d: wide %+v, single %+v",
 							r.name, w, k, j, wide[64*k+j], res)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestWideWorkerInvariance pins intra-batch sharding: RunBatchWideWorkers
-// must fold bit-identically for every worker count at every width,
-// including worker counts that do not divide the word count.
-func TestWideWorkerInvariance(t *testing.T) {
-	cfg := framesim.Config{
-		Model:            layers.Depolarizing(6e-3),
-		MaxLogicalErrors: 3,
-		MaxWindows:       800,
-		RefSeed:          35,
-	}
-	for _, r := range wideRunners(t, cfg) {
-		for _, w := range []int{2, 4, 8} {
-			seeds := wideSeeds(w, int64(77*w))
-			shots := 64 * w
-			want, err := r.workers(seeds, shots, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, w, w + 5} {
-				got, err := r.workers(seeds, shots, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s w=%d workers=%d shot %d: %+v, serial %+v",
-							r.name, w, workers, i, got[i], want[i])
 					}
 				}
 			}

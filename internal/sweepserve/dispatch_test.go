@@ -105,13 +105,22 @@ func newDispatcher(t *testing.T, opt DispatchOptions) *Dispatcher {
 // TestDispatchPartitionProperty is the distribution contract as a
 // property: for any worker count, batch size, and failure interleaving
 // (one worker failing its first requests and being retried), the
-// dispatched sweep folds byte-identically to the serial local run.
+// dispatched sweep folds byte-identically to the serial local run — for
+// the SC17 spec and for its Steane twin, which needs no service code of
+// its own.
 func TestDispatchPartitionProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed e2e skipped in -short mode")
 	}
-	spec := partitionSpec()
-	want, wantBlob := serialReference(t, spec)
+	steane := partitionSpec()
+	steane.Code = experiments.CodeNameSteane
+	inputs := []struct {
+		prefix string
+		spec   experiments.Spec
+	}{
+		{"", partitionSpec()},
+		{"steane_", steane},
+	}
 
 	cases := []struct {
 		name      string
@@ -128,44 +137,48 @@ func TestDispatchPartitionProperty(t *testing.T) {
 		{name: "3workers_batch1_flaky", workers: 3, batch: 1, inflight: 3, failFirst: 3},
 		{name: "batch_larger_than_sweep", workers: 2, batch: 64, inflight: 2},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			peers := startWorkers(t, tc.workers, tc.failFirst)
-			d := newDispatcher(t, DispatchOptions{
-				Peers: peers, BatchSize: tc.batch, InFlight: tc.inflight, Retries: 3,
+	for _, in := range inputs {
+		spec := in.spec
+		want, wantBlob := serialReference(t, spec)
+		for _, tc := range cases {
+			t.Run(in.prefix+tc.name, func(t *testing.T) {
+				peers := startWorkers(t, tc.workers, tc.failFirst)
+				d := newDispatcher(t, DispatchOptions{
+					Peers: peers, BatchSize: tc.batch, InFlight: tc.inflight, Retries: 3,
+				})
+				st, err := sweepstore.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var points []int
+				pts, err := d.Run(context.Background(), st, spec,
+					func(p int, _ float64) { points = append(points, p) }, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(pts, want) {
+					t.Fatalf("dispatched fold diverged from serial run:\ndispatched: %+v\nserial:     %+v", pts, want)
+				}
+				blob, err := json.Marshal(pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(blob, wantBlob) {
+					t.Fatal("dispatched result bytes differ from serial run")
+				}
+				wantPoints := []int{0, 1, 2}
+				if !reflect.DeepEqual(points, wantPoints) {
+					t.Fatalf("progress points %v, want %v (ascending)", points, wantPoints)
+				}
+				ds := d.Stats()
+				if tc.failFirst > 0 && ds.Retries == 0 && ds.PeerFailures == 0 {
+					t.Error("flaky worker case recorded neither retries nor failovers")
+				}
+				if got := ds.RemoteShards + ds.LocalShards; got != int64(spec.NumShards()) {
+					t.Errorf("computed shards %d, want %d", got, spec.NumShards())
+				}
 			})
-			st, err := sweepstore.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var points []int
-			pts, err := d.Run(context.Background(), st, spec,
-				func(p int, _ float64) { points = append(points, p) }, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(pts, want) {
-				t.Fatalf("dispatched fold diverged from serial run:\ndispatched: %+v\nserial:     %+v", pts, want)
-			}
-			blob, err := json.Marshal(pts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(blob, wantBlob) {
-				t.Fatal("dispatched result bytes differ from serial run")
-			}
-			wantPoints := []int{0, 1, 2}
-			if !reflect.DeepEqual(points, wantPoints) {
-				t.Fatalf("progress points %v, want %v (ascending)", points, wantPoints)
-			}
-			ds := d.Stats()
-			if tc.failFirst > 0 && ds.Retries == 0 && ds.PeerFailures == 0 {
-				t.Error("flaky worker case recorded neither retries nor failovers")
-			}
-			if got := ds.RemoteShards + ds.LocalShards; got != int64(spec.NumShards()) {
-				t.Errorf("computed shards %d, want %d", got, spec.NumShards())
-			}
-		})
+		}
 	}
 }
 

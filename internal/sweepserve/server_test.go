@@ -3,6 +3,7 @@ package sweepserve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -178,6 +179,41 @@ func TestServerEndToEnd(t *testing.T) {
 	_, raw2 := getResult(t, ts.URL, id)
 	if !bytes.Equal(raw1, raw2) {
 		t.Error("cached rerun served different result bytes")
+	}
+
+	// A Steane spec rides the same service with no code of its own: a job
+	// of its own, result bytes equal to an in-process RunSpec, and an
+	// identical resubmission served fully from the shard cache.
+	steane := testSpec()
+	steane.Code = experiments.CodeNameSteane
+	steanePts, err := experiments.RunSpec(context.Background(), steane, experiments.RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steaneWant, err := json.Marshal(steanePts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid := submit(t, ts.URL, steane).ID
+	if sid == id {
+		t.Fatal("Steane spec hashed to the SC17 job")
+	}
+	if fin := waitDone(t, ts.URL, sid); fin.Shards.Computed != steane.NumShards() {
+		t.Errorf("Steane run: computed=%d, want %d", fin.Shards.Computed, steane.NumShards())
+	}
+	_, rawS1 := getResult(t, ts.URL, sid)
+	if !bytes.Equal(bytes.TrimSpace(rawS1), steaneWant) {
+		t.Fatalf("Steane result bytes differ from in-process RunSpec:\nserver: %s\nlocal:  %s", rawS1, steaneWant)
+	}
+	if again := submit(t, ts.URL, steane); again.ID != sid {
+		t.Fatalf("identical Steane spec hashed to a different job: %s vs %s", again.ID, sid)
+	}
+	if rerun := waitDone(t, ts.URL, sid); rerun.Shards.Cached != steane.NumShards() || rerun.Shards.Computed != 0 {
+		t.Errorf("Steane resubmission: computed=%d cached=%d, want 0/%d",
+			rerun.Shards.Computed, rerun.Shards.Cached, steane.NumShards())
+	}
+	if _, rawS2 := getResult(t, ts.URL, sid); !bytes.Equal(rawS1, rawS2) {
+		t.Error("cached Steane rerun served different result bytes")
 	}
 
 	// "Restart": a fresh server over the same store. The result is

@@ -54,6 +54,14 @@ import (
 // fields (lanes / seeds). Both field sets are omitempty, so a width-1
 // spec's JSON is byte-identical to v2 — the version bump alone keeps
 // v2-era frame results from being served as current ones.
+//
+// Spec and ShardConfig later gained the QEC code field (code: "steane",
+// omitted for SC17) without a bump, because no cached result can be
+// misread: SC17 encodings are byte-identical to before (SC17 is the
+// field's canonical empty value), and Steane encodings are new, so no
+// pre-existing key names a Steane computation. Servers and workers
+// decode with DisallowUnknownFields, so an older binary refuses a spec
+// that carries code instead of running it as SC17.
 const Version = "pf-sweep-v3"
 
 // keyOf content-addresses one value: SHA-256 over the version, a kind

@@ -40,6 +40,7 @@ func TestShardKeyDistinct(t *testing.T) {
 	}
 	variants := []func(*experiments.ShardConfig){
 		func(c *experiments.ShardConfig) { c.Engine = "framesim" },
+		func(c *experiments.ShardConfig) { c.Code = experiments.CodeNameSteane },
 		func(c *experiments.ShardConfig) { c.PER = 3.0000001e-3 },
 		func(c *experiments.ShardConfig) { c.ErrorType = "z" },
 		func(c *experiments.ShardConfig) { c.WithPauliFrame = true },
@@ -521,5 +522,104 @@ func TestWideLanesNeverCollideWithV2(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Fatal("Open accepted a pf-sweep-v2 store")
+	}
+}
+
+// TestKeyPins pins literal spec and shard keys computed before the QEC
+// code became a spec field. SC17 is the canonical empty code, omitted
+// from the canonical JSON, so SC17 job IDs and shard addresses must
+// never move: a changed key here silently orphans every existing store.
+func TestKeyPins(t *testing.T) {
+	frameThreshold := experiments.Spec{
+		Engine:           "framesim",
+		PERs:             []float64{0.001, 0.002, 0.004, 0.008},
+		Samples:          1024,
+		ErrorType:        "x",
+		WithPauliFrame:   true,
+		MaxLogicalErrors: 20,
+		MaxWindows:       2_000_000,
+		BaseSeed:         3837274156007706471,
+		Lanes:            8,
+	}
+	adaptive := experiments.Spec{
+		Engine:           "sparse",
+		PERs:             []float64{1e-4, 1e-3},
+		Samples:          512,
+		ErrorType:        "z",
+		MaxLogicalErrors: 5,
+		MaxWindows:       20000,
+		BaseSeed:         99,
+		AdaptRelWidth:    0.2,
+	}
+	cases := []struct {
+		name          string
+		spec          experiments.Spec
+		shard         int
+		spec0, shard0 string
+	}{
+		{"ci-e2e", testSpec(), 3,
+			"aa8c9b4dd63ed1c4c72c21a530aaa147631738de37258cf01faa45ebf656d246",
+			"1518f4b430e694e9ce75f85d42697d58afcfdc3f1bcd9e0acc7e33ab0a7928eb"},
+		{"frame-threshold", frameThreshold, 7,
+			"9e7e29dea3df63c70c24e9d2b17a0d49eaba7b6dc73ea354499a816e6f3431bc",
+			"2486bb9a57d0318fd0122668443b24a3f471a7f06f611f9e9d31cf48d6758b7b"},
+		{"adaptive-sparse", adaptive, 15,
+			"f38f1cccce0545fa3802dc0849553e19eba51d2eeb2fed2dcdd5bc049f7c8eba",
+			"912f4312518829d1ee37f02a7d8b4ba49e82313f73d111b381d18b77c0538774"},
+	}
+	for _, tc := range cases {
+		k, err := SpecKey(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != tc.spec0 {
+			t.Errorf("%s: SpecKey %s, want %s", tc.name, k, tc.spec0)
+		}
+		sk, err := ShardKey(tc.spec.ShardConfig(tc.spec.Shard(tc.shard)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sk != tc.shard0 {
+			t.Errorf("%s: shard %d key %s, want %s", tc.name, tc.shard, sk, tc.shard0)
+		}
+	}
+}
+
+// TestSteaneNeverSharesKeysWithSC17: a Steane sweep is a different
+// computation from its SC17 twin on every engine, so neither its spec
+// nor any of its shards may share a content address with the twin's.
+func TestSteaneNeverSharesKeysWithSC17(t *testing.T) {
+	for _, engine := range []string{"stack", "framesim", "sparse"} {
+		sc17 := testSpec()
+		sc17.Engine = engine
+		st := sc17
+		st.Code = experiments.CodeNameSteane
+		k17, err := SpecKey(sc17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kSt, err := SpecKey(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k17 == kSt {
+			t.Errorf("%s: Steane spec shares its key with the SC17 twin", engine)
+		}
+		if st.NumShards() != sc17.NumShards() {
+			t.Fatalf("%s: Steane spec has %d shards, SC17 twin %d", engine, st.NumShards(), sc17.NumShards())
+		}
+		for i := 0; i < st.NumShards(); i++ {
+			a, err := ShardKey(sc17.ShardConfig(sc17.Shard(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ShardKey(st.ShardConfig(st.Shard(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a == b {
+				t.Errorf("%s shard %d: Steane shard shares its key with the SC17 twin", engine, i)
+			}
+		}
 	}
 }
