@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/experiments"
@@ -20,6 +21,25 @@ func main() {
 	seed := flag.Int64("seed", 77, "base seed")
 	workers := flag.Int("workers", 0, "worker pool size, one run per configuration (0 = all CPUs); results are identical for any value")
 	flag.Parse()
+
+	// Validate every flag up front: a bad invocation exits with a usage
+	// error before any simulation starts, never after a partial run.
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "compute: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	switch {
+	case flag.NArg() > 0:
+		fail("unexpected argument %q", flag.Arg(0))
+	case math.IsNaN(*per) || *per <= 0 || *per > 1:
+		fail("-per must be in (0, 1], got %g", *per)
+	case *errors < 1:
+		fail("-errors must be >= 1, got %d", *errors)
+	case *maxWindows < 1:
+		fail("-maxwindows must be >= 1, got %d", *maxWindows)
+	case *workers < 0:
+		fail("-workers must be >= 0, got %d", *workers)
+	}
 
 	fmt.Printf("two-star computation (windows + CNOT_L cycles) at PER=%g\n\n", *per)
 	fmt.Printf("%-12s %-10s %-12s %-14s %-14s\n",

@@ -1,7 +1,7 @@
 // Command steanesweep runs the logical-error-rate study on a Steane
 // [[7,1,3]] logical qubit: LER versus physical error rate, with and
 // without a Pauli frame, on the QPDO oracle stack or the bit-sliced
-// Steane frame engines.
+// Steane frame engine.
 //
 // Usage:
 //
@@ -32,7 +32,7 @@ func main() {
 	seed := flag.Int64("seed", 2017, "base RNG seed")
 	workers := flag.Int("workers", 0, "Monte-Carlo worker pool size (0 = all CPUs); results are identical for any value")
 	csvPath := flag.String("csv", "", "also write CSV to this file (suffix _pf/_nopf added in both mode)")
-	engineName := flag.String("engine", "stack", "simulation engine: stack (QPDO oracle), frame (bit-sliced Steane frame engine) or sparse (window-skipping variant, fastest at low PER)")
+	engineName := flag.String("engine", "stack", "simulation engine: stack (QPDO oracle), frame (bit-sliced Steane frame engine, which skips quiet windows at low PER) or sparse (the same frame engine, same results)")
 	lanes := flag.Int("lanes", 1, "frame-engine batch width in 64-shot words (1, 2, 4 or 8); folded results are identical at every width")
 	flag.Parse()
 

@@ -25,6 +25,31 @@ func main() {
 	workers := flag.Int("workers", 0, "Monte-Carlo worker pool size (0 = all CPUs); results are identical for any value")
 	flag.Parse()
 
+	// Validate every flag up front: a bad invocation exits with a usage
+	// error before any simulation starts, never after a partial run.
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "ttest: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	switch {
+	case flag.NArg() > 0:
+		fail("unexpected argument %q", flag.Arg(0))
+	case *rng != "full" && *rng != "zoom":
+		fail("unknown range %q (want full or zoom)", *rng)
+	case !strings.EqualFold(*etype, "x") && !strings.EqualFold(*etype, "z"):
+		fail("unknown type %q (want x or z)", *etype)
+	case *points < 1:
+		fail("-points must be >= 1, got %d", *points)
+	case *samples < 2:
+		fail("-samples must be >= 2 (the t-tests need two per configuration), got %d", *samples)
+	case *errors < 1:
+		fail("-errors must be >= 1, got %d", *errors)
+	case *maxWindows < 1:
+		fail("-maxwindows must be >= 1, got %d", *maxWindows)
+	case *workers < 0:
+		fail("-workers must be >= 0, got %d", *workers)
+	}
+
 	lo, hi := 1e-4, 1e-2
 	if *rng == "zoom" {
 		lo, hi = 3e-4, 5e-4

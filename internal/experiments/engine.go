@@ -1,25 +1,18 @@
 package experiments
 
-import (
-	"repro/internal/framesim"
-	"repro/internal/layers"
-)
+import "repro/internal/framesim"
 
 // wideEngine is what the harness needs of a compiled frame engine: the
-// dense and sparse SC17 engines and the two Steane engines all run wide
+// dense and sparse SC17 engines and the Steane engine all run wide
 // batches under the same lane-extraction contract.
 type wideEngine interface {
 	RunBatchWide(seeds []int64, shots int) ([]framesim.ShotResult, error)
 }
 
 // frameConfig maps an LER configuration to the frame engines' config;
-// cfg must already have its defaults applied. The Steane engines ignore
+// cfg must already have its defaults applied. The Steane engine ignores
 // the SC17-only fields (InitRounds, DecoderRule).
 func frameConfig(cfg LERConfig) framesim.Config {
-	model := layers.Depolarizing(cfg.PER)
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
 	obs := framesim.ObserveX
 	if cfg.ErrorType == LogicalZ {
 		obs = framesim.ObserveZ
@@ -31,7 +24,7 @@ func frameConfig(cfg LERConfig) framesim.Config {
 		MaxWindows:       cfg.MaxWindows,
 		InitRounds:       cfg.InitRounds,
 		DecoderRule:      cfg.DecoderRule,
-		Model:            model,
+		Model:            cfg.model(),
 		RefSeed:          cfg.Seed,
 	}
 }
@@ -42,9 +35,9 @@ func frameConfig(cfg LERConfig) framesim.Config {
 func newFrameEngine(cfg LERConfig) (wideEngine, error) {
 	fc := frameConfig(cfg)
 	switch {
-	case cfg.Code == CodeSteane && cfg.Engine == EngineSparse:
-		return framesim.NewSteaneSparse(fc)
 	case cfg.Code == CodeSteane:
+		// Both frame engine names map to the one Steane engine, whose
+		// quiet-window skip serves the sparse regime.
 		return framesim.NewSteane(fc)
 	case cfg.Engine == EngineSparse:
 		return framesim.NewSparse(fc)

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"testing"
 )
@@ -110,5 +113,86 @@ func TestGoldenGenericSweep(t *testing.T) {
 		if !floatsEqual(r.LER, g.ler) {
 			t.Errorf("d-point %d: LER=%v want %v", i, r.LER, g.ler)
 		}
+	}
+}
+
+// TestGoldenFrameSweep pins the SC17 frame engines' sampled bits: the
+// SHA-256 of json.Marshal of the folded []PointResult for small seeded
+// sweeps on the dense engine (1 and 8 lanes, with and without the Pauli
+// frame, both observables), on the sparse engine below threshold where
+// the quiet-window skip carries the run, and on one adaptive sparse
+// sweep. Any change to the RNG draw order, the decode, the window loop
+// or the shot accounting shows up here. Regenerate only with a
+// deliberate semantic change, and say so in the change log.
+func TestGoldenFrameSweep(t *testing.T) {
+	dense := func(lanes int, pf bool, et ErrorType, seed int64) SweepConfig {
+		return SweepConfig{
+			Engine:           EngineFrameSim,
+			PERs:             []float64{2e-3, 6e-3},
+			Samples:          320,
+			ErrorType:        et,
+			WithPauliFrame:   pf,
+			MaxLogicalErrors: 3,
+			MaxWindows:       1500,
+			BaseSeed:         seed,
+			Lanes:            lanes,
+		}
+	}
+	sparse := func(lanes int, pf bool, et ErrorType, seed int64) SweepConfig {
+		return SweepConfig{
+			Engine:           EngineSparse,
+			PERs:             []float64{2e-5, 1e-4},
+			Samples:          192,
+			ErrorType:        et,
+			WithPauliFrame:   pf,
+			MaxLogicalErrors: 3,
+			MaxWindows:       20000,
+			BaseSeed:         seed,
+			Lanes:            lanes,
+		}
+	}
+	adaptive := SweepConfig{
+		Engine:           EngineSparse,
+		PERs:             []float64{1e-4, 4e-3},
+		Samples:          1024,
+		MaxLogicalErrors: 1 << 30,
+		MaxWindows:       400,
+		BaseSeed:         6021,
+		AdaptRelWidth:    0.3,
+		AdaptMinSamples:  64,
+		AdaptBatch:       128,
+	}
+	cases := []struct {
+		name   string
+		cfg    SweepConfig
+		digest string
+	}{
+		{"framesim/lanes1/pf-off/x", dense(1, false, LogicalX, 9101), "d0bc65e12dad73d511b725ddcfa798409dd88340a9e97187dfe0c04a13e7059d"},
+		{"framesim/lanes1/pf-on/z", dense(1, true, LogicalZ, 9102), "8867165f470c1cddf905d8770de384e3b1635379fd4c831a1571981c2814359d"},
+		{"framesim/lanes8/pf-on/x", dense(8, true, LogicalX, 9103), "65f840f45b89c595ebfda686a7b87a60e52f04a12a2a6a4547e0596ee4c45066"},
+		{"framesim/lanes8/pf-off/z", dense(8, false, LogicalZ, 9104), "f6d12ea5ff7f278b16ad30cdc1a9431bed2630d2d62e4671ea8c317bb5af0415"},
+		{"sparse/lanes1/pf-on/x", sparse(1, true, LogicalX, 9105), "16f5831cf1d5b0508ca60ea426d7a160a9ab651c6050a8025dc4881f3c304ba4"},
+		{"sparse/lanes2/pf-off/z", sparse(2, false, LogicalZ, 9106), "66f40274eb23437cee96a29711bcf37de85005f9b60a09ce9d8dd61253522550"},
+		{"sparse/adaptive", adaptive, "d5147b7c4f5bc95b66c653534517d2e12337a0b9b7331ecc9171691132bd3cd8"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 3} {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				pts, err := RunSweep(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := json.Marshal(pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(blob)
+				if got := hex.EncodeToString(sum[:]); got != tc.digest {
+					t.Errorf("workers=%d: folded digest %s, want %s", workers, got, tc.digest)
+				}
+			}
+		})
 	}
 }

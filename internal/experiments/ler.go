@@ -64,8 +64,12 @@ const (
 	// skipped via the geometric gap sampler — the engine of choice below
 	// pseudo-threshold where almost every window is empty. Scripted runs
 	// are bit-identical to EngineFrameSim; sampled runs agree
-	// statistically (the sparse engine skips the unobservable
-	// reset-gauge RNG draws, so the streams differ).
+	// statistically. The streams differ in draw order: the dense
+	// engine's fused program draws a time slot's single-channel sites
+	// before its pair sites, the sparse walker draws them in tape order
+	// (a CNOT's pair site before the slot's idle sites), and a word's
+	// samplers share one RNG. For the Steane code both names select the
+	// one Steane frame engine, which skips quiet windows itself.
 	EngineSparse
 )
 
@@ -262,13 +266,13 @@ type lerStack struct {
 // stream is identical to the error layer's input plus injected errors,
 // which the error layer already counts).
 func buildStack(cfg LERConfig) (*lerStack, error) {
+	model := cfg.model()
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := &lerStack{}
 	s.chp = layers.NewChpCore(rand.New(rand.NewSource(rng.Int63())))
-	model := layers.Depolarizing(cfg.PER)
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
 	s.errl = layers.NewErrorLayerModel(s.chp, model, rand.New(rand.NewSource(rng.Int63())))
 	s.counterMid = layers.NewCounterLayer(s.errl)
 	var below qpdo.Core = s.counterMid
@@ -294,19 +298,31 @@ func buildStack(cfg LERConfig) (*lerStack, error) {
 // cached ESM circuits are pure functions of the fixed geometry), for a
 // Steane block the codespace projection and the two-round decode
 // history.
-func (s *lerStack) reset(cfg LERConfig) {
+func (s *lerStack) reset(cfg LERConfig) error {
+	model := cfg.model()
+	if err := model.Validate(); err != nil {
+		return err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s.chp.Reset(rand.New(rand.NewSource(rng.Int63())))
-	model := layers.Depolarizing(cfg.PER)
-	if cfg.Model != nil {
-		model = *cfg.Model
-	}
 	s.errl.Reconfigure(model, rand.New(rand.NewSource(rng.Int63())))
 	s.counterMid.ResetStats()
 	s.counterTop.ResetStats()
 	if s.pf != nil {
 		s.pf.Reset()
 	}
+	return nil
+}
+
+// model returns cfg's error channel: Model when set, else the
+// depolarizing channel at PER. The stack validates it before building
+// its error layer, which panics on a non-physical rate (a negative or
+// NaN one, say); the frame engines validate it at compile.
+func (cfg LERConfig) model() layers.Model {
+	if cfg.Model != nil {
+		return *cfg.Model
+	}
+	return layers.Depolarizing(cfg.PER)
 }
 
 // stackPool hands one reusable stack to each Monte-Carlo worker. The
@@ -332,8 +348,8 @@ func (p *stackPool) run(w int, cfg LERConfig) (LERResult, error) {
 			return LERResult{}, err
 		}
 		p.stacks[w] = s
-	} else {
-		s.reset(cfg)
+	} else if err := s.reset(cfg); err != nil {
+		return LERResult{}, err
 	}
 	return runLER(cfg, s)
 }

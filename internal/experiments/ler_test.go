@@ -26,6 +26,18 @@ func TestRunLERZeroNoise(t *testing.T) {
 	}
 }
 
+// TestRunLERRejectsNaNRate: a NaN channel rate is a configuration error
+// on every engine, never a silent LER of 0 (or a panic in the stack's
+// error layer).
+func TestRunLERRejectsNaNRate(t *testing.T) {
+	for _, engine := range []Engine{EngineStack, EngineFrameSim, EngineSparse} {
+		r, err := RunLER(LERConfig{Engine: engine, PER: math.NaN(), MaxWindows: 5, MaxLogicalErrors: 1, Seed: 1})
+		if err == nil {
+			t.Errorf("%v: NaN PER accepted, got %+v", engine, r)
+		}
+	}
+}
+
 func TestRunLERScalesQuadratically(t *testing.T) {
 	// Below the pseudo-threshold the d=3 code suppresses errors like p²;
 	// compare LER at two rates differing by 3× and require superlinear

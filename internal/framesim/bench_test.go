@@ -85,7 +85,7 @@ func BenchmarkFrameSimWindow(b *testing.B) {
 	res := make([]ShotResult, 64)
 	st := e.newRunState(benchSeeds(1), nil)
 	for i := 0; i < b.N; i++ {
-		e.runWindows(st, res, 64, 0, nil)
+		e.runWindows(e, st, res, 64, 0, nil)
 	}
 }
 
@@ -102,10 +102,10 @@ func BenchmarkFrameSimWideWindow(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.runWindows(st, res, 64*w, 0, nil)
+				e.runWindows(e, st, res, 64*w, 0, nil)
 			}
 			if allocs := testing.AllocsPerRun(20, func() {
-				e.runWindows(st, res, 64*w, 0, nil)
+				e.runWindows(e, st, res, 64*w, 0, nil)
 			}); allocs != 0 {
 				b.Fatalf("wide window loop allocates %.0f times per run", allocs)
 			}
@@ -113,23 +113,15 @@ func BenchmarkFrameSimWideWindow(b *testing.B) {
 	}
 }
 
-// benchSteane compiles the Steane frame engine (dense or sparse) for the
-// benchmark workload.
-func benchSteane(b *testing.B, per float64, sparse bool) *SteaneEngine {
+// benchSteane compiles the Steane frame engine for the benchmark
+// workload, with the quiet-window skip on or off.
+func benchSteane(b *testing.B, per float64, skip bool) *SteaneEngine {
 	b.Helper()
-	cfg := Config{Model: layers.Depolarizing(per), MaxLogicalErrors: 10, RefSeed: 42}
-	var (
-		e   *SteaneEngine
-		err error
-	)
-	if sparse {
-		e, err = NewSteaneSparse(cfg)
-	} else {
-		e, err = NewSteane(cfg)
-	}
+	e, err := NewSteane(Config{Model: layers.Depolarizing(per), MaxLogicalErrors: 10, RefSeed: 42})
 	if err != nil {
 		b.Fatal(err)
 	}
+	e.noSkip = !skip
 	return e
 }
 
@@ -140,17 +132,17 @@ func benchSteane(b *testing.B, per float64, sparse bool) *SteaneEngine {
 func BenchmarkSteaneFrameWindow(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(benchWidthName(w), func(b *testing.B) {
-			e := benchSteane(b, 2e-3, false)
+			e := benchSteane(b, 2e-3, true)
 			e.cfg.MaxWindows = 1
 			res := make([]ShotResult, 64*w)
 			st := e.newRunState(benchSeeds(w), nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.runWindows(st, res, 64*w, 0, nil)
+				e.runWindows(e, st, res, 64*w, 0, nil)
 			}
 			if allocs := testing.AllocsPerRun(20, func() {
-				e.runWindows(st, res, 64*w, 0, nil)
+				e.runWindows(e, st, res, 64*w, 0, nil)
 			}); allocs != 0 {
 				b.Fatalf("steane window loop allocates %.0f times per run", allocs)
 			}
@@ -159,12 +151,12 @@ func BenchmarkSteaneFrameWindow(b *testing.B) {
 }
 
 // BenchmarkSteaneFrameBatch runs the Steane LER-point workload (PER
-// 5e-3, 10 logical errors per shot) through one W-wide dense batch;
-// shots/s across the width sweep is recorded in BENCH_framesim.json.
+// 5e-3, 10 logical errors per shot) through one W-wide batch; shots/s
+// across the width sweep is recorded in BENCH_framesim.json.
 func BenchmarkSteaneFrameBatch(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(benchWidthName(w), func(b *testing.B) {
-			e := benchSteane(b, 5e-3, false)
+			e := benchSteane(b, 5e-3, true)
 			seeds := benchSeeds(w)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -178,17 +170,16 @@ func BenchmarkSteaneFrameBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSteaneFrameSparseBatch is BenchmarkSteaneFrameBatch on the
-// window-skipping engine at a below-threshold rate, where whole-batch
-// gap skipping dominates.
+// BenchmarkSteaneFrameSparseBatch is BenchmarkSteaneFrameBatch at PER
+// 3e-4 on 4-word batches, with the quiet-window skip off and on.
 func BenchmarkSteaneFrameSparseBatch(b *testing.B) {
-	for _, sparse := range []bool{false, true} {
-		name := "dense"
-		if sparse {
-			name = "sparse"
+	for _, skip := range []bool{false, true} {
+		name := "noskip"
+		if skip {
+			name = "skip"
 		}
 		b.Run(name, func(b *testing.B) {
-			e := benchSteane(b, 3e-4, sparse)
+			e := benchSteane(b, 3e-4, skip)
 			seeds := benchSeeds(4)
 			b.ReportAllocs()
 			b.ResetTimer()

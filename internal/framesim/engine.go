@@ -169,20 +169,20 @@ type Engine struct {
 }
 
 // tapeExec is the executor core shared by the protocol front-ends (the
-// SC17 Engine and the Steane engine): the physical qubit count plus the
-// cached channel constants every tape walk and hit sampler needs. It
-// carries no mutable run state — that lives in runState — so front-ends
-// embedding it stay safe for concurrent runs.
+// SC17 Engine, the Steane engine and the sparse engine's walker): the
+// physical qubit count plus the cached channel constants every tape walk
+// and hit sampler needs. It carries no mutable run state — that lives in
+// runState — so front-ends embedding it stay safe for concurrent runs.
 type tapeExec struct {
 	n int
 	chanParams
 }
 
 // chanParams caches one error model's channel constants; the tape
-// executor shares them between the SC17 and Steane front-ends. uX/uXY
-// are the conditional Pauli-kind thresholds (PX/P, (PX+PY)/P) scaled to
-// the full uint64 range, so a hit's kind is one integer compare against
-// a raw RNG word instead of a float multiply chain.
+// executor shares them between the front-ends. uX/uXY are the
+// conditional Pauli-kind thresholds (PX/P, (PX+PY)/P) scaled to the full
+// uint64 range, so a hit's kind is one integer compare against a raw RNG
+// word instead of a float multiply chain.
 type chanParams struct {
 	p, px, pxy, pMeas float64
 	uX, uXY           uint64
@@ -546,11 +546,25 @@ type runState struct {
 	r1, r2, diag, probeOut []uint64
 	carryA, carryB         [][4]uint64
 	expected               []uint64
+	// corr0 holds lane 0's correction masks from the last decode of word
+	// 0, per group (SC17: A, B; Steane: Z, X), for the scripted traces.
+	// corrMask is the SC17 decode's per-lane merge of both groups'
+	// corrections, all zero between decodes.
+	corr0    [2]uint16
+	corrMask [64]uint16
 
 	script Script
 	round  int
 	active []uint64
 	inj    []int
+
+	// The sparse walker's state (width-1 runs only): dirty has bit q set
+	// iff qubit q's planes may be nonzero; sc/mc/pc count the sites each
+	// channel has consumed in the current tape; hits is the scripted
+	// walk's hit list.
+	dirty      uint64
+	sc, mc, pc int
+	hits       []scriptHit
 }
 
 // checkWide validates a wide batch request: 1..MaxLanes seed words, and
@@ -575,9 +589,7 @@ func checkWide(seeds []int64, shots int) error {
 // propagating (their planes are dead weight in the words) but stop
 // accumulating statistics. Safe for concurrent use on one Engine.
 func (e *Engine) RunBatch(seed int64, shots int) ([]ShotResult, error) {
-	var seeds [1]int64
-	seeds[0] = seed
-	return e.RunBatchWide(seeds[:], shots)
+	return e.runBatchWide(e, []int64{seed}, shots)
 }
 
 // RunBatchWide runs up to 64·len(seeds) Monte-Carlo shots in one W-wide
@@ -587,145 +599,98 @@ func (e *Engine) RunBatch(seed int64, shots int) ([]ShotResult, error) {
 // amortizes the tape walk over all words. shots must fill every word
 // (the last may be partial). Safe for concurrent use on one Engine.
 func (e *Engine) RunBatchWide(seeds []int64, shots int) ([]ShotResult, error) {
-	if err := checkWide(seeds, shots); err != nil {
-		return nil, err
-	}
-	st := e.newRunState(seeds, nil)
-	res := make([]ShotResult, 64*len(seeds))
-	e.runWindows(st, res, shots, 0, nil)
-	return res[:shots], nil
+	return e.runBatchWide(e, seeds, shots)
 }
 
 // RunScripted runs exactly `windows` QEC windows of a single shot with
 // the Script's errors injected instead of sampled noise, recording a
-// WindowTrace per window. Caps
-// are ignored; the shot never terminates early. The differential test
-// feeds the same Script to an InjectLayer-instrumented QPDO stack and
-// requires bit-identical traces.
+// WindowTrace per window. Caps are ignored; the shot never terminates
+// early. The differential test feeds the same Script to an
+// InjectLayer-instrumented QPDO stack and requires bit-identical traces.
 func (e *Engine) RunScripted(windows int, script Script) ([]WindowTrace, ShotResult, error) {
-	if windows < 0 {
-		return nil, ShotResult{}, fmt.Errorf("framesim: negative window count %d", windows)
-	}
-	if script == nil {
-		script = Script{}
-	}
-	var seeds [1]int64
-	st := e.newRunState(seeds[:], script)
-	res := make([]ShotResult, 64)
-	traces := make([]WindowTrace, 0, windows)
-	e.runWindows(st, res, 1, windows, &traces)
-	return traces, res[0], nil
+	return runScripted(&e.protocol, e, windows, script, e.trace)
 }
 
-// runWindows drives the window loop. In sampled mode (st.script == nil)
-// it runs until every lane of the first `shots` terminates; in scripted
-// mode it runs exactly scriptWindows windows on lane 0. res must hold
-// 64·w entries; shot 64k+j of lane word k lands in res[64k+j].
+// esmRound is the dense walker's noisy ESM round: the fused program in
+// sampled mode, the site-exact tape for scripted injection.
+func (p *protocol) esmRound(st *runState, out []uint64) {
+	if st.script == nil {
+		p.runFused(st, p.esmFused, p.refESM, out)
+	} else {
+		p.runTape(st, p.esm, p.refESM, true, out)
+	}
+}
+
+// decode is the SC17 windowed decode of lane word k: word-parallel per
+// hardware group over the window's two ESM rounds, then scalar LUT
+// lookups only for lanes with a nonzero decoded syndrome. A lane's X and
+// Z corrections form one correction slot, and a qubit corrected in both
+// groups counts one gate.
 //
-// A lane word whose 64 shots have all terminated goes *dead*: its noise
-// sampling, gauge draws, decode and probe bookkeeping are skipped for
-// the remaining windows (only the shared gate kernels still touch its
-// plane words, writing values nothing reads). Word independence makes
-// the skip exact — a dead word's statistics are already final, and no
-// live word ever observes its RNG stream.
-func (e *Engine) runWindows(st *runState, res []ShotResult, shots, scriptWindows int, traces *[]WindowTrace) {
+//qa:hotpath
+func (e *Engine) decode(st *runState, res []ShotResult, k int) uint64 {
 	W := st.w
-	st.activate(shots)
-	var corrMask [64]uint16
-	var tr WindowTrace
-	w := 0
-	for e.more(st, w, scriptWindows) {
-		w++
-
-		// Two noisy ESM rounds: the fused program in sampled mode, the
-		// site-exact tape for scripted injection.
-		if st.script == nil {
-			e.runFused(st, e.esmFused, e.refESM, st.r1)
-			st.round++
-			e.runFused(st, e.esmFused, e.refESM, st.r2)
-			st.round++
-		} else {
-			e.runTape(st, e.esm, e.refESM, true, st.r1)
-			st.round++
-			e.runTape(st, e.esm, e.refESM, true, st.r2)
-			st.round++
+	var a1, b1, a2, b2, decA, decB [4]uint64
+	gather(e, st.r1, k, W, &a1, &b1)
+	gather(e, st.r2, k, W, &a2, &b2)
+	nzA := e.decodeGroup(&a1, &a2, &st.carryA[k], &decA)
+	nzB := e.decodeGroup(&b1, &b2, &st.carryB[k], &decB)
+	var trA, trB uint16
+	corrMask := &st.corrMask
+	for m := nzA; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		cm := uint16(e.lutA.CorrectionMask(synAt(&decA, j)))
+		corrMask[j&63] |= cm
+		if j == 0 {
+			trA = cm
 		}
-
-		// Word-parallel windowed decode per lane word and hardware group,
-		// then scalar LUT lookups only for lanes with a nonzero decoded
-		// syndrome.
-		for k := 0; k < W; k++ {
-			if st.script == nil && st.active[k] == 0 {
-				continue
-			}
-			var a1, b1, a2, b2, decA, decB [4]uint64
-			gather(e, st.r1, k, W, &a1, &b1)
-			gather(e, st.r2, k, W, &a2, &b2)
-			nzA := e.decodeGroup(&a1, &a2, &st.carryA[k], &decA)
-			nzB := e.decodeGroup(&b1, &b2, &st.carryB[k], &decB)
-			var trA, trB uint16
-			for m := nzA; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				cm := uint16(e.lutA.CorrectionMask(synAt(&decA, j)))
-				corrMask[j] |= cm
-				if j == 0 {
-					trA = cm
-				}
-				applyCorr(st.b, cm, k, uint64(1)<<uint(j), e.gateAIsZ)
-			}
-			for m := nzB; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				cm := uint16(e.lutB.CorrectionMask(synAt(&decB, j)))
-				corrMask[j] |= cm
-				if j == 0 {
-					trB = cm
-				}
-				applyCorr(st.b, cm, k, uint64(1)<<uint(j), !e.gateAIsZ)
-			}
-			var hasCorr uint64
-			for m := nzA | nzB; m != 0; m &= m - 1 {
-				j := bits.TrailingZeros64(m)
-				if cm := corrMask[j]; cm != 0 {
-					hasCorr |= uint64(1) << uint(j)
-					if st.active[k]>>uint(j)&1 == 1 {
-						res[k*64+j].CorrectionGates += bits.OnesCount16(cm)
-						res[k*64+j].CorrectionSlots++
-					}
-					corrMask[j] = 0
-				}
-			}
-			// Without a Pauli frame the correction slot executes physically
-			// and is itself noisy: one single-qubit channel site per qubit
-			// (correction operands and idles alike), applied only to the
-			// lanes that issued a correction. With a frame, the slot is
-			// absorbed and injects nothing. Scripted runs inject nothing
-			// here either — the QPDO-side InjectLayer skips 1-slot circuits.
-			if hasCorr != 0 && st.script == nil && !e.cfg.WithPauliFrame {
-				e.sampleCorrectionSlot(st, k, hasCorr)
-			}
-			if k == 0 && traces != nil {
-				tr = WindowTrace{
-					R1A: synAt(&a1, 0), R1B: synAt(&b1, 0),
-					R2A: synAt(&a2, 0), R2B: synAt(&b2, 0),
-					CorrA: trA, CorrB: trB,
-					Probe: -1,
-				}
-			}
+		applyCorr(st.b, cm, k, uint64(1)<<uint(j), e.gateAIsZ)
+	}
+	for m := nzB; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		cm := uint16(e.lutB.CorrectionMask(synAt(&decB, j)))
+		corrMask[j&63] |= cm
+		if j == 0 {
+			trB = cm
 		}
-
-		clean, out := e.diagnose(st, res, w)
-		if traces != nil {
-			var da, db [4]uint64
-			gather(e, st.diag, 0, W, &da, &db)
-			tr.DiagA, tr.DiagB = synAt(&da, 0), synAt(&db, 0)
-			tr.Clean = clean&1 == 1
-			if tr.Clean {
-				tr.Probe = int(out & 1)
+		applyCorr(st.b, cm, k, uint64(1)<<uint(j), !e.gateAIsZ)
+	}
+	if k == 0 {
+		st.corr0[0], st.corr0[1] = trA, trB
+	}
+	var hasCorr uint64
+	for m := nzA | nzB; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		if cm := corrMask[j&63]; cm != 0 {
+			hasCorr |= uint64(1) << uint(j)
+			if st.active[k]>>uint(j)&1 == 1 {
+				res[k*64+j].CorrectionGates += bits.OnesCount16(cm)
+				res[k*64+j].CorrectionSlots++
 			}
-			*traces = append(*traces, tr)
+			corrMask[j&63] = 0
 		}
 	}
-	e.finish(st, res, shots, w)
+	return hasCorr
+}
+
+// trace records lane 0's view of the window that just closed.
+func (e *Engine) trace(st *runState, clean, out uint64) WindowTrace {
+	var a1, b1, a2, b2, da, db [4]uint64
+	gather(e, st.r1, 0, st.w, &a1, &b1)
+	gather(e, st.r2, 0, st.w, &a2, &b2)
+	gather(e, st.diag, 0, st.w, &da, &db)
+	tr := WindowTrace{
+		R1A: synAt(&a1, 0), R1B: synAt(&b1, 0),
+		R2A: synAt(&a2, 0), R2B: synAt(&b2, 0),
+		CorrA: st.corr0[0], CorrB: st.corr0[1],
+		DiagA: synAt(&da, 0), DiagB: synAt(&db, 0),
+		Clean: clean&1 == 1,
+		Probe: -1,
+	}
+	if tr.Clean {
+		tr.Probe = int(out & 1)
+	}
+	return tr
 }
 
 // runTape propagates all lane words' frames through one tape. inject

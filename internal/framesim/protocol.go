@@ -1,10 +1,12 @@
 // The code-independent half of a compiled windows protocol, shared by the
-// SC17 Engine and the Steane engine: one compile step (noiseless
-// reference run, tapes, stationarity checks, noiseless-round shortcut,
-// fused sampling program), the run state's lane bookkeeping, the
-// noiseless diagnostic-and-probe step that closes every window, and the
-// shot accounting. Only the decode, the per-window traces and the Steane
-// engine's window skip stay code-specific.
+// SC17 Engine, the Steane engine and the sparse SC17 engine: one compile
+// step (noiseless reference run, tapes, stationarity checks,
+// noiseless-round shortcut, fused sampling program), the run state's
+// lane bookkeeping, and one window loop with its batch and scripted entry
+// points, the quiet-window skip, the noiseless diagnostic-and-probe step
+// that closes every window, and the shot accounting. Only the decode, the
+// per-window traces and the sparse engine's event-driven tape walker stay
+// engine-specific (windowCode).
 
 package framesim
 
@@ -39,9 +41,30 @@ type protocol struct {
 	// sc is the noiseless-round shortcut (newShortcut).
 	sc shortcut
 
+	// windowSites counts one window's noisy error sites per channel
+	// (single, meas, pair): the trial spans a quiet window consumes.
+	windowSites [3]int
+
 	// canon enables frame canonicalization of clean lanes in sampled
-	// runs (see diagnose). Only valid with all-zero reference outcomes.
+	// runs (see diagnose) and, with it, the quiet-window skip (see
+	// quietWindows). Only valid with all-zero reference outcomes.
 	canon bool
+	// noSkip turns the quiet-window skip off. Only tests set it, to run
+	// the reference the skip must reproduce bit for bit.
+	noSkip bool
+}
+
+// windowCode is what an engine adds to the shared window loop.
+type windowCode interface {
+	// esmRound runs one noisy ESM round for every lane word into out:
+	// sampled noise in sampled runs, the script's errors in scripted runs.
+	esmRound(st *runState, out []uint64)
+	// decode decodes lane word k from the window's ESM outcomes (st.r1,
+	// and st.r2 for two-round windows), applies and counts its
+	// corrections, and returns the mask of lanes that issued a
+	// correction slot. For word 0 it also records lane 0's correction
+	// masks in st.corr0.
+	decode(st *runState, res []ShotResult, k int) uint64
 }
 
 // compileProtocol is the compile step New and NewSteane share. lay is
@@ -117,6 +140,11 @@ func compileProtocol(cfg Config, core *layers.ChpCore, lay qpdo.Core, rounds int
 	}
 	p.sc = newShortcut(p.esm, p.probe, n, p.refProbe)
 	p.esmFused = fuseTape(p.esm, p.corrPair)
+	p.windowSites = [3]int{
+		rounds * len(p.esmFused.singleQ),
+		rounds * len(p.esmFused.measQ),
+		rounds * len(p.esmFused.pairA),
+	}
 	return p, nil
 }
 
@@ -204,6 +232,143 @@ func (p *protocol) more(st *runState, w, scriptWindows int) bool {
 	return live != 0 && w < p.cfg.MaxWindows
 }
 
+// runBatchWide runs a sampled W-wide batch through c (see
+// Engine.RunBatchWide).
+func (p *protocol) runBatchWide(c windowCode, seeds []int64, shots int) ([]ShotResult, error) {
+	if err := checkWide(seeds, shots); err != nil {
+		return nil, err
+	}
+	st := p.newRunState(seeds, nil)
+	res := make([]ShotResult, 64*len(seeds))
+	p.runWindows(c, st, res, shots, 0, nil)
+	return res[:shots], nil
+}
+
+// runScripted runs `windows` scripted windows of a single shot through c
+// and records trace(st, clean, probe) after every window (see
+// Engine.RunScripted).
+func runScripted[T any](p *protocol, c windowCode, windows int, script Script,
+	trace func(st *runState, clean, out uint64) T) ([]T, ShotResult, error) {
+	if windows < 0 {
+		return nil, ShotResult{}, fmt.Errorf("framesim: negative window count %d", windows)
+	}
+	if script == nil {
+		script = Script{}
+	}
+	var seeds [1]int64
+	st := p.newRunState(seeds[:], script)
+	res := make([]ShotResult, 64)
+	traces := make([]T, 0, windows)
+	p.runWindows(c, st, res, 1, windows, func(clean, out uint64) {
+		traces = append(traces, trace(st, clean, out))
+	})
+	return traces, res[0], nil
+}
+
+// runWindows drives the window loop of every engine. In sampled mode
+// (st.script == nil) it runs until every lane of the first `shots`
+// terminates; in scripted mode it runs exactly scriptWindows windows on
+// lane 0 and hands each window's lane-0 clean bit and probe word to
+// record. res must hold 64·w entries; shot 64k+j of lane word k lands in
+// res[64k+j].
+//
+// A window is p.rounds noisy ESM rounds through c's walker, then per live
+// lane word c's decode and the correction slot's noise, then the shared
+// diagnostic-and-probe step. With canon set, sampled runs first jump
+// over quiet windows (quietWindows). A lane word whose 64 shots have all
+// terminated goes *dead*: its noise sampling, decode and probe
+// bookkeeping are skipped for the remaining windows (only the shared gate
+// kernels still touch its plane words, writing values nothing reads).
+// Word independence makes that exact — a dead word's statistics are
+// already final, and no live word ever observes its RNG stream.
+func (p *protocol) runWindows(c windowCode, st *runState, res []ShotResult, shots, scriptWindows int, record func(clean, out uint64)) {
+	st.activate(shots)
+	outs := [2][]uint64{st.r1, st.r2}
+	skip := p.canon && !p.noSkip && st.script == nil
+	w := 0
+	for p.more(st, w, scriptWindows) {
+		if skip {
+			if n := p.quietWindows(st, w); n > 0 {
+				p.skipWindows(st, n)
+				w += int(n)
+				continue
+			}
+		}
+		w++
+		for r := 0; r < p.rounds; r++ {
+			c.esmRound(st, outs[r])
+			st.round++
+		}
+		for k := 0; k < st.w; k++ {
+			if st.script == nil && st.active[k] == 0 {
+				continue
+			}
+			// Without a Pauli frame the correction slot executes
+			// physically and is itself noisy; with one it is absorbed and
+			// injects nothing. Scripted runs inject nothing here either:
+			// the QPDO-side InjectLayer skips 1-slot circuits.
+			if hasCorr := c.decode(st, res, k); hasCorr != 0 && st.script == nil && !p.cfg.WithPauliFrame {
+				p.sampleCorrectionSlot(st, k, hasCorr)
+			}
+		}
+		clean, out := p.diagnose(st, res, w)
+		if record != nil {
+			record(clean, out)
+		}
+	}
+	p.finish(st, res, shots, w)
+}
+
+// quietWindows returns how many windows the batch may skip at window w.
+// It is zero unless every live lane word is canonical — zero frame, zero
+// carried syndrome, zero expectation — in which case a window without a
+// channel hit changes nothing: the frame stays zero, the syndromes read
+// the zero reference, the diagnostic round is clean and the probe
+// matches the expectation. The gap samplers then bound how many such
+// windows lie ahead, capped at MaxWindows.
+//
+//qa:hotpath
+func (p *protocol) quietWindows(st *runState, w int) int64 {
+	n := int64(p.cfg.MaxWindows - w)
+	W := st.w
+	for k := 0; k < W && n > 0; k++ {
+		if st.active[k] == 0 {
+			continue
+		}
+		a, b := &st.carryA[k], &st.carryB[k]
+		nonzero := st.expected[k] | a[0] | a[1] | a[2] | a[3] | b[0] | b[1] | b[2] | b[3]
+		for q := 0; q < p.n && nonzero == 0; q++ {
+			nonzero |= st.b.fx[q*W+k] | st.b.fz[q*W+k]
+		}
+		if nonzero != 0 {
+			return 0
+		}
+		l := &st.lanes[k]
+		n = min(n, l.single.windowsBeforeHit(p.windowSites[0]),
+			l.meas.windowsBeforeHit(p.windowSites[1]),
+			l.pair.windowsBeforeHit(p.windowSites[2]))
+	}
+	return n
+}
+
+// skipWindows advances every live lane word's samplers past n quiet
+// windows — bit-identical to running them, since no gap is drawn between
+// hits.
+//
+//qa:hotpath
+func (p *protocol) skipWindows(st *runState, n int64) {
+	for k := range st.lanes {
+		if st.active[k] == 0 {
+			continue
+		}
+		l := &st.lanes[k]
+		l.single.skipSites(int(n) * p.windowSites[0])
+		l.meas.skipSites(int(n) * p.windowSites[1])
+		l.pair.skipSites(int(n) * p.windowSites[2])
+	}
+	st.round += p.rounds * int(n)
+}
+
 // diagnose is the noiseless diagnostic-and-probe step that closes window
 // w: the diagnostic ESM round and the probe are evaluated for every live
 // lane word — as linear functionals of the frame planes when the
@@ -212,13 +377,15 @@ func (p *protocol) more(st *runState, w, scriptWindows int) bool {
 // its expectation counts a logical error, and a lane reaching
 // MaxLogicalErrors retires with w windows.
 //
-// With canon set, sampled runs also canonicalize every clean lane: its
-// frame produces no syndrome and its probe effect has just been folded
-// into the expectation, so zeroing frame and expectation together is
-// unobservable — syndromes were going to read zero either way, and
-// future probes of the zeroed frame read the (zero) reference, matching
-// the zeroed expectation. This is what makes long quiet stretches
-// canonical, and therefore skippable by the Steane window skip.
+// With canon set, sampled runs also canonicalize every clean lane. Its
+// residual frame lies in N(S): it commutes with every stabilizer
+// generator, so it never contributes to a future syndrome, and its only
+// future effect is a fixed flip of every probe outcome, which has just
+// been folded into the expectation. Zeroing frame and expectation
+// together is therefore unobservable — syndromes were going to read zero
+// either way, and future probes of the zeroed frame read the (zero)
+// reference, matching the zeroed expectation. This is what makes long
+// quiet stretches canonical, and therefore skippable (quietWindows).
 //
 // It returns lane word 0's clean mask and probe word for the traces.
 func (p *protocol) diagnose(st *runState, res []ShotResult, w int) (clean0, out0 uint64) {

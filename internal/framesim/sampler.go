@@ -75,6 +75,17 @@ func (s *sampler) siteOfNextHit() int64 {
 	return s.next >> 6
 }
 
+// windowsBeforeHit returns how many whole windows of `sites` error sites
+// each lie before the next hit.
+//
+//qa:hotpath
+func (s *sampler) windowsBeforeHit(sites int) int64 {
+	if sites == 0 {
+		return disabledNext
+	}
+	return s.siteOfNextHit() / int64(sites)
+}
+
 // skipSites advances the trial stream past k whole sites (64·k trials)
 // without visiting them. Legal only when no hit lands inside the skipped
 // span (the caller checks siteOfNextHit); the sampler state afterwards is

@@ -1,7 +1,9 @@
 package framesim
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -93,7 +95,8 @@ func TestSparseScriptedSpanEquality(t *testing.T) {
 			}
 			script := sparseScript(rand.New(rand.NewSource(tc.seed)), e.ESMSites(), rounds, tc.density)
 			dst := e.newRunState([]int64{0}, script)
-			sst := s.newRun(0, script)
+			sst := s.newRunState([]int64{0}, script)
+			probeT := indexTape(e.probe, e.corrPair)
 			outD := make([]uint64, e.esm.NumMeas())
 			outS := make([]uint64, e.esm.NumMeas())
 			probeD := make([]uint64, e.probe.NumMeas())
@@ -114,7 +117,7 @@ func TestSparseScriptedSpanEquality(t *testing.T) {
 						t.Fatalf("diag span %d: outcome words diverge", r)
 					}
 					e.runTape(dst, e.probe, e.refProbe, false, probeD)
-					s.runTape(sst, s.probeT, e.refProbe, false, probeS)
+					s.runTape(sst, probeT, e.refProbe, false, probeS)
 					if !equalWords(probeD, probeS) {
 						t.Fatalf("probe span %d: outcome words diverge", r)
 					}
@@ -141,9 +144,9 @@ func TestSparseScriptedMatchesCoreFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := s.Engine()
+	e := &s.Engine
 	script := sparseScript(rand.New(rand.NewSource(11)), e.ESMSites(), rounds, 0.05)
-	sst := s.newRun(0, script)
+	sst := s.newRunState([]int64{0}, script)
 	f := core.NewFrame(e.n)
 	out := make([]uint64, e.esm.NumMeas())
 	for r := 0; r < rounds; r++ {
@@ -253,34 +256,51 @@ func TestSparseZeroNoise(t *testing.T) {
 }
 
 // TestSparseWindowLoopAllocFree pins the steady-state allocation budget
-// of the sparse window loop at zero: growing MaxWindows by an order of
-// magnitude must not change the per-RunBatch allocation count (the fixed
-// setup cost is the run state itself).
+// of the shared window loop at zero on every engine and lane width:
+// growing MaxWindows by an order of magnitude must not change the
+// per-batch allocation count (the fixed setup cost is the run state
+// itself). The collector is off while counting: a GC cycle may allocate
+// on the runtime's behalf, and longer batches see more of them.
 func TestSparseWindowLoopAllocFree(t *testing.T) {
-	build := func(maxWindows int) *Sparse {
-		s, err := NewSparse(Config{
-			Observable:       ObserveX,
-			Model:            layers.Depolarizing(2e-3),
-			MaxWindows:       maxWindows,
-			MaxLogicalErrors: 1 << 30,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	type batcher interface {
+		RunBatchWide(seeds []int64, shots int) ([]ShotResult, error)
 	}
-	short, long := build(300), build(3000)
-	allocsShort := testing.AllocsPerRun(5, func() {
-		if _, err := short.RunBatch(9, 64); err != nil {
-			t.Fatal(err)
+	engines := []struct {
+		name  string
+		build func(cfg Config) (batcher, error)
+	}{
+		{"dense", func(cfg Config) (batcher, error) { e, err := New(cfg); return e, err }},
+		{"steane", func(cfg Config) (batcher, error) { e, err := NewSteane(cfg); return e, err }},
+		{"sparse", func(cfg Config) (batcher, error) { e, err := NewSparse(cfg); return e, err }},
+	}
+	for _, eng := range engines {
+		for _, w := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/lanes=%d", eng.name, w), func(t *testing.T) {
+				seeds := make([]int64, w)
+				for k := range seeds {
+					seeds[k] = int64(9 + k)
+				}
+				allocs := func(maxWindows int) float64 {
+					e, err := eng.build(Config{
+						Observable:       ObserveX,
+						Model:            layers.Depolarizing(2e-3),
+						MaxWindows:       maxWindows,
+						MaxLogicalErrors: 1 << 30,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return testing.AllocsPerRun(5, func() {
+						if _, err := e.RunBatchWide(seeds, 64*w); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+				if short, long := allocs(300), allocs(3000); short != long {
+					t.Fatalf("window loop allocates: %v allocs at 300 windows, %v at 3000", short, long)
+				}
+			})
 		}
-	})
-	allocsLong := testing.AllocsPerRun(5, func() {
-		if _, err := long.RunBatch(9, 64); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocsShort != allocsLong {
-		t.Fatalf("window loop allocates: %v allocs at 300 windows, %v at 3000", allocsShort, allocsLong)
 	}
 }

@@ -89,41 +89,33 @@ func runSteaneScripted(t *testing.T, obs framesim.Observable, windows int, scrip
 }
 
 // TestSteaneDifferentialScripted is the oracle test of the Steane frame
-// engine: for both observables, both engine variants and a range of
-// error densities, a scripted error pattern must produce bit-identical
-// per-window traces — raw syndromes, decoded corrections, diagnostics,
-// probe outcomes — and the same logical error and correction gate counts
-// on the frame engine and on the full QPDO stack.
+// engine: for both observables and a range of error densities, a
+// scripted error pattern must produce bit-identical per-window traces —
+// raw syndromes, decoded corrections, diagnostics, probe outcomes — and
+// the same logical error and correction gate counts on the frame engine
+// and on the full QPDO stack.
 func TestSteaneDifferentialScripted(t *testing.T) {
 	const windows = 32
 	for _, tc := range []struct {
 		name    string
 		obs     framesim.Observable
-		sparse  bool
 		density float64
 		seed    int64
 	}{
-		{"X/sparse-errors", framesim.ObserveX, false, 0.004, 1},
-		{"X/dense-errors", framesim.ObserveX, false, 0.04, 2},
-		{"Z/sparse-errors", framesim.ObserveZ, false, 0.004, 3},
-		{"Z/dense-errors", framesim.ObserveZ, false, 0.04, 4},
-		{"X/sparse-engine", framesim.ObserveX, true, 0.03, 5},
-		{"Z/sparse-engine", framesim.ObserveZ, true, 0.03, 6},
-		{"X/empty", framesim.ObserveX, false, 0, 7},
+		{"X/sparse-errors", framesim.ObserveX, 0.004, 1},
+		{"X/dense-errors", framesim.ObserveX, 0.04, 2},
+		{"Z/sparse-errors", framesim.ObserveZ, 0.004, 3},
+		{"Z/dense-errors", framesim.ObserveZ, 0.04, 4},
+		{"X/mid-errors", framesim.ObserveX, 0.03, 5},
+		{"Z/mid-errors", framesim.ObserveZ, 0.03, 6},
+		{"X/empty", framesim.ObserveX, 0, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := framesim.Config{
+			eng, err := framesim.NewSteane(framesim.Config{
 				Observable: tc.obs,
 				Model:      layers.Depolarizing(1e-3), // ignored: scripted
 				RefSeed:    7,
-			}
-			var eng *framesim.SteaneEngine
-			var err error
-			if tc.sparse {
-				eng, err = framesim.NewSteaneSparse(cfg)
-			} else {
-				eng, err = framesim.NewSteane(cfg)
-			}
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,43 +161,66 @@ func TestSteaneDifferentialScripted(t *testing.T) {
 	}
 }
 
-// TestSteaneFrameSparseIdentical pins the sparse window skip as exact:
-// sampled runs of the dense and sparse Steane engines from the same
-// seeds must produce bit-identical per-shot results at every lane width,
-// with and without the Pauli frame.
-func TestSteaneFrameSparseIdentical(t *testing.T) {
-	for _, pf := range []bool{false, true} {
-		cfg := framesim.Config{
-			Model:            layers.Depolarizing(2e-3),
-			MaxLogicalErrors: 4,
-			WithPauliFrame:   pf,
-			RefSeed:          11,
-		}
-		dense, err := framesim.NewSteane(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse, err := framesim.NewSteaneSparse(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 4} {
-			seeds := make([]int64, w)
-			for k := range seeds {
-				seeds[k] = int64(100*w + k)
-			}
-			shots := 64 * w
-			rd, err := dense.RunBatchWide(seeds, shots)
+// TestWindowSkipIdentical pins the quiet-window skip as exact: sampled
+// runs of the Steane and sparse SC17 engines must produce bit-identical
+// per-shot results with the skip on and off, at every lane width, with
+// and without the Pauli frame, above threshold and far below it, where
+// the skip carries the run.
+func TestWindowSkipIdentical(t *testing.T) {
+	type runner func(seeds []int64, shots int) ([]framesim.ShotResult, error)
+	engines := []struct {
+		name  string
+		build func(cfg framesim.Config) (skip, noSkip runner, err error)
+	}{
+		{"steane", func(cfg framesim.Config) (runner, runner, error) {
+			e, err := framesim.NewSteane(cfg)
 			if err != nil {
-				t.Fatal(err)
+				return nil, nil, err
 			}
-			rs, err := sparse.RunBatchWide(seeds, shots)
+			return e.RunBatchWide, e.WithoutSkip().RunBatchWide, nil
+		}},
+		{"sparse", func(cfg framesim.Config) (runner, runner, error) {
+			s, err := framesim.NewSparse(cfg)
 			if err != nil {
-				t.Fatal(err)
+				return nil, nil, err
 			}
-			for i := range rd {
-				if rd[i] != rs[i] {
-					t.Fatalf("pf=%v lanes=%d shot %d: dense %+v, sparse %+v", pf, w, i, rd[i], rs[i])
+			return s.RunBatchWide, s.WithoutSkip().RunBatchWide, nil
+		}},
+	}
+	for _, eng := range engines {
+		for _, per := range []float64{2e-3, 1e-4} {
+			for _, pf := range []bool{false, true} {
+				cfg := framesim.Config{
+					Model:            layers.Depolarizing(per),
+					MaxLogicalErrors: 4,
+					MaxWindows:       3000,
+					WithPauliFrame:   pf,
+					RefSeed:          11,
+				}
+				skip, noSkip, err := eng.build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range []int{1, 2, 4} {
+					seeds := make([]int64, w)
+					for k := range seeds {
+						seeds[k] = int64(100*w + k)
+					}
+					shots := 64 * w
+					want, err := noSkip(seeds, shots)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := skip(seeds, shots)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s per=%g pf=%v lanes=%d shot %d: skip %+v, no skip %+v",
+								eng.name, per, pf, w, i, got[i], want[i])
+						}
+					}
 				}
 			}
 		}
@@ -213,10 +228,10 @@ func TestSteaneFrameSparseIdentical(t *testing.T) {
 }
 
 // TestSteaneSparseZeroNoise pins the degenerate skip: with a zero-rate
-// model every sampler is parked, so the sparse engine must jump straight
+// model every sampler is parked, so the Steane engine must jump straight
 // to MaxWindows — error-free shots in O(1) work per window span.
 func TestSteaneSparseZeroNoise(t *testing.T) {
-	e, err := framesim.NewSteaneSparse(framesim.Config{
+	e, err := framesim.NewSteane(framesim.Config{
 		Model:      layers.Model{},
 		MaxWindows: 500_000,
 		RefSeed:    3,

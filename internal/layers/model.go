@@ -30,10 +30,10 @@ type Model struct {
 // TotalSingle is the per-operation error probability.
 func (m Model) TotalSingle() float64 { return m.PX + m.PY + m.PZ }
 
-// Validate rejects non-physical parameters.
+// Validate rejects non-physical parameters, NaN included.
 func (m Model) Validate() error {
 	for _, p := range []float64{m.PX, m.PY, m.PZ, m.PMeas} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("layers: probability %g out of range", p)
 		}
 	}

@@ -35,6 +35,11 @@ func TestModelConstructors(t *testing.T) {
 	if err := (Model{PX: -0.1}).Validate(); err == nil {
 		t.Error("negative probability accepted")
 	}
+	for _, m := range []Model{{PX: math.NaN()}, {PZ: math.NaN()}, {PMeas: math.NaN()}, Depolarizing(math.NaN())} {
+		if err := m.Validate(); err == nil {
+			t.Errorf("NaN probability accepted: %+v", m)
+		}
+	}
 	if err := (Model{PX: 0.5, PY: 0.4, PZ: 0.3}).Validate(); err == nil {
 		t.Error("total above 1 accepted")
 	}
