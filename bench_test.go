@@ -438,7 +438,9 @@ func BenchmarkStatevecCNOT(b *testing.B) {
 }
 
 // BenchmarkPFUProcess measures the Pauli arbiter's routing throughput —
-// the operation the thesis proposes to put in hardware.
+// the operation the thesis proposes to put in hardware. The output
+// buffer is reused, as the Pauli frame layer does, and the benchmark
+// fails if Process allocates.
 func BenchmarkPFUProcess(b *testing.B) {
 	u := core.NewPFU(17)
 	ops := []circuit.Operation{
@@ -447,11 +449,25 @@ func BenchmarkPFUProcess(b *testing.B) {
 		circuit.NewOp(gates.CNOT, 3, 4),
 		circuit.NewOp(gates.Z, 4),
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := u.Process(ops[i%len(ops)]); err != nil {
+	dst := make([]circuit.Operation, 0, 4)
+	process := func(op circuit.Operation) {
+		var err error
+		if dst, err = u.Process(dst[:0], op); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		process(ops[i%len(ops)])
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, op := range ops {
+			process(op)
+		}
+	}); allocs != 0 {
+		b.Fatalf("Process allocates %.0f times per pass over the ops", allocs)
 	}
 }
 
@@ -467,18 +483,26 @@ func BenchmarkDecoderLUT(b *testing.B) {
 }
 
 // BenchmarkPauliFrameLayerRandomCircuit measures the layer's circuit
-// rewriting over the thesis gate set.
+// rewriting over the thesis gate set: one 1000-gate Clifford circuit on
+// 10 qubits through PF → ChpCore per iteration. The stack is built once
+// and Reset per iteration, so the timing is the layer and the tableau,
+// not their construction; the circuit holds no measurement, so the
+// tableau never draws from its RNG.
 func BenchmarkPauliFrameLayerRandomCircuit(b *testing.B) {
 	circ := randcirc.Generate(randcirc.Config{Qubits: 10, Gates: 1000, CliffordOnly: true},
 		rand.New(rand.NewSource(1)))
+	rng := rand.New(rand.NewSource(2))
+	ch := layers.NewChpCore(rng)
+	pf := layers.NewPauliFrameLayer(ch)
+	if err := pf.CreateQubits(10); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch := layers.NewChpCore(rand.New(rand.NewSource(int64(i))))
-		pf := layers.NewPauliFrameLayer(ch)
-		if err := pf.CreateQubits(10); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := qpdo.Run(pf, circ.Clone()); err != nil {
+		ch.Reset(rng)
+		pf.Reset()
+		if _, err := qpdo.Run(pf, circ); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -183,6 +183,9 @@ type QCU struct {
 	// model (the first step toward the thesis' clock-cycle-accurate
 	// emulation goal, Chapter 6).
 	cycles *CycleCounter
+
+	// fwd is the arbiter's reusable output buffer.
+	fwd []circuit.Operation
 }
 
 // NewQCU builds a control unit for a chip exposing at least
@@ -275,10 +278,11 @@ func (q *QCU) step(ins Instruction, rep *Report) error {
 // issue routes one physical operation through the Pauli arbiter
 // (thesis Fig 3.12) and the PEL.
 func (q *QCU) issue(op circuit.Operation, rep *Report, report bool) error {
-	fwd, err := q.pfu.Process(op)
+	fwd, err := q.pfu.Process(q.fwd[:0], op)
 	if err != nil {
 		return err
 	}
+	q.fwd = fwd
 	for _, f := range fwd {
 		if q.cycles != nil {
 			q.cycles.AddOp(f.Gate.Class)
@@ -334,10 +338,11 @@ func (q *QCU) qecCycle(rep *Report) error {
 			esmCycles += q.cycles.Total - before
 		}
 		for _, op := range slot.Ops {
-			fwd, err := q.pfu.Process(op)
+			fwd, err := q.pfu.Process(q.fwd[:0], op)
 			if err != nil {
 				return err
 			}
+			q.fwd = fwd
 			for _, f := range fwd {
 				raw, err := q.pel.Apply(f)
 				if err != nil {

@@ -62,10 +62,17 @@ type Circuit struct {
 // New returns an empty circuit.
 func New() *Circuit { return &Circuit{} }
 
-// AppendSlot adds an empty time slot and returns its index.
+// AppendSlot adds an empty time slot and returns its index. A slot
+// dropped by Reset is reused together with its operation storage.
 func (c *Circuit) AppendSlot() int {
-	c.Slots = append(c.Slots, TimeSlot{})
-	return len(c.Slots) - 1
+	n := len(c.Slots)
+	if n < cap(c.Slots) {
+		c.Slots = c.Slots[:n+1]
+		c.Slots[n].Ops = c.Slots[n].Ops[:0]
+	} else {
+		c.Slots = append(c.Slots, TimeSlot{})
+	}
+	return n
 }
 
 // AddToSlot places an operation into an existing slot.
@@ -81,16 +88,53 @@ func (c *Circuit) Add(g *gates.Gate, qubits ...int) *Circuit {
 }
 
 // AddParallel appends one time slot holding all the given operations.
+// The slot copies the operations into storage of its own (their qubit
+// slices are shared, not copied), so every slot of a circuit owns its
+// operation array and Reset can hand that array out again.
 func (c *Circuit) AddParallel(ops ...Operation) *Circuit {
-	c.Slots = append(c.Slots, TimeSlot{Ops: ops})
+	s := c.AppendSlot()
+	c.Slots[s].Ops = append(c.Slots[s].Ops, ops...)
 	return c
 }
 
-// Append concatenates another circuit's slots after this one's.
+// Append concatenates another circuit's slots after this one's, copying
+// them as AddParallel does.
 func (c *Circuit) Append(other *Circuit) *Circuit {
-	c.Slots = append(c.Slots, other.Slots...)
+	for _, s := range other.Slots {
+		c.AddParallel(s.Ops...)
+	}
 	return c
 }
+
+// Reset empties the circuit but keeps its slot and operation storage:
+// rebuilding a circuit of the same shape allocates nothing.
+func (c *Circuit) Reset() { c.Slots = c.Slots[:0] }
+
+// Pool recycles the output circuits of a layer that rewrites every
+// circuit it is given. Get hands out an empty circuit that keeps the
+// storage of its previous use; Recycle takes back every circuit handed
+// out since the last Recycle. The owner recycles only once nothing holds
+// those circuits any more — for a QPDO layer, once the Execute that
+// consumed them has returned (the ownership rule of qpdo.Core.Add).
+type Pool struct {
+	circuits []*Circuit
+	used     int
+}
+
+// Get returns an empty circuit, allocating one only when every pooled
+// circuit is in use.
+func (p *Pool) Get() *Circuit {
+	if p.used == len(p.circuits) {
+		p.circuits = append(p.circuits, New())
+	}
+	c := p.circuits[p.used]
+	p.used++
+	c.Reset()
+	return c
+}
+
+// Recycle returns every circuit handed out by Get to the pool.
+func (p *Pool) Recycle() { p.used = 0 }
 
 // NumSlots counts time slots.
 func (c *Circuit) NumSlots() int { return len(c.Slots) }
@@ -145,36 +189,58 @@ func (c *Circuit) MaxQubit() int {
 
 // Validate checks the time-slot discipline: within each slot no qubit may
 // appear in more than one operation, and no operation may repeat a qubit.
-// Slots are small (tens of qubits at most), so collisions are detected by
-// a linear scan over stack-allocated slices rather than maps — Validate
-// runs on every Add in the layer stack, and the per-slot map allocations
-// used to dominate the ESM-round profile.
+// Validate runs on every Add at each layer of a stack, so it is linear:
+// a slot whose qubits all lie below 64 is checked against a 64-bit
+// occupancy mask. Only a slot that breaks the rule, or that uses a qubit
+// of 64 or more, is rescanned by validateSlot, which finds and words the
+// first offence.
 func (c *Circuit) Validate() error {
-	var qbuf, obuf [64]int
+slots:
 	for si := range c.Slots {
-		s := &c.Slots[si]
-		qs, os := qbuf[:0], obuf[:0]
-		for oi := range s.Ops {
-			op := &s.Ops[oi]
-			start := len(qs)
+		var seen uint64
+		for _, op := range c.Slots[si].Ops {
 			for _, q := range op.Qubits {
-				if q < 0 {
-					return fmt.Errorf("slot %d op %d: negative qubit %d", si, oi, q)
-				}
-				// Scan newest-first so an intra-operation duplicate is
-				// reported as such even when an earlier op also used q.
-				for k := len(qs) - 1; k >= 0; k-- {
-					if qs[k] != q {
-						continue
+				bit := uint64(1) << (uint(q) & 63)
+				if uint(q) >= 64 || seen&bit != 0 {
+					if err := c.validateSlot(si); err != nil {
+						return err
 					}
-					if k >= start {
-						return fmt.Errorf("slot %d op %d: qubit %d repeated within operation", si, oi, q)
-					}
-					return fmt.Errorf("slot %d: qubit %d used by ops %d and %d", si, q, os[k], oi)
+					continue slots
 				}
-				qs = append(qs, q)
-				os = append(os, oi)
+				seen |= bit
 			}
+		}
+	}
+	return nil
+}
+
+// validateSlot is the general check of one slot: a scan over
+// stack-allocated slices, quadratic in the slot's qubit count, that
+// reports the first negative, repeated or doubly used qubit.
+func (c *Circuit) validateSlot(si int) error {
+	var qbuf, obuf [64]int
+	s := &c.Slots[si]
+	qs, os := qbuf[:0], obuf[:0]
+	for oi := range s.Ops {
+		op := &s.Ops[oi]
+		start := len(qs)
+		for _, q := range op.Qubits {
+			if q < 0 {
+				return fmt.Errorf("slot %d op %d: negative qubit %d", si, oi, q)
+			}
+			// Scan newest-first so an intra-operation duplicate is
+			// reported as such even when an earlier op also used q.
+			for k := len(qs) - 1; k >= 0; k-- {
+				if qs[k] != q {
+					continue
+				}
+				if k >= start {
+					return fmt.Errorf("slot %d op %d: qubit %d repeated within operation", si, oi, q)
+				}
+				return fmt.Errorf("slot %d: qubit %d used by ops %d and %d", si, q, os[k], oi)
+			}
+			qs = append(qs, q)
+			os = append(os, oi)
 		}
 	}
 	return nil

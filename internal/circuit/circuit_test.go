@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -125,5 +127,89 @@ func TestEmptyCircuit(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Errorf("empty circuit should validate: %v", err)
+	}
+}
+
+// TestResetReusesStorage rebuilds a circuit after Reset: the rebuild
+// allocates nothing, holds only the new operations, and AddParallel's
+// copy keeps the circuit independent of the caller's slice.
+func TestResetReusesStorage(t *testing.T) {
+	ops := []Operation{NewOp(gates.H, 0), NewOp(gates.CNOT, 1, 2)}
+	c := New().Add(gates.X, 3).Add(gates.X, 4).Add(gates.X, 5)
+	build := func() {
+		c.Reset()
+		c.AddParallel(ops...)
+		c.AddParallel(ops[:1]...)
+	}
+	build()
+	if allocs := testing.AllocsPerRun(10, build); allocs != 0 {
+		t.Errorf("rebuild after Reset allocates %v times", allocs)
+	}
+	if c.NumSlots() != 2 || c.NumOps() != 3 {
+		t.Fatalf("rebuilt circuit:\n%s", c)
+	}
+	ops[0] = NewOp(gates.X, 5)
+	if c.Slots[0].Ops[0].Gate != gates.H || c.Slots[1].Ops[0].Gate != gates.H {
+		t.Error("AddParallel shares its operation array with the caller")
+	}
+}
+
+func TestPool(t *testing.T) {
+	var p Pool
+	a, b := p.Get(), p.Get()
+	if a == b {
+		t.Fatal("Get handed out one circuit twice")
+	}
+	a.Add(gates.H, 0)
+	p.Recycle()
+	if c := p.Get(); c != a || c.NumSlots() != 0 {
+		t.Errorf("Get after Recycle = %p with %d slots, want the first circuit (%p) empty", c, c.NumSlots(), a)
+	}
+	if c := p.Get(); c != b {
+		t.Error("Get after Recycle did not reuse the second circuit")
+	}
+}
+
+// TestValidateMatchesScan checks the occupancy-mask fast path against
+// the general per-slot scan on random slots with collisions, negative
+// qubits and qubits on both sides of 64: the verdicts and error texts
+// must agree.
+func TestValidateMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	scan := func(c *Circuit) error {
+		for si := range c.Slots {
+			if err := c.validateSlot(si); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var valid, invalid int
+	for i := 0; i < 5000; i++ {
+		lo := []int{-1, 0, 56, 120}[rng.Intn(4)]
+		c := New()
+		for s := 1 + rng.Intn(4); s > 0; s-- {
+			var ops []Operation
+			for o := 1 + rng.Intn(6); o > 0; o-- {
+				qs := make([]int, 1+rng.Intn(2))
+				for j := range qs {
+					qs[j] = lo + rng.Intn(16)
+				}
+				ops = append(ops, Operation{Gate: gates.CNOT, Qubits: qs})
+			}
+			c.AddParallel(ops...)
+		}
+		got, want := c.Validate(), scan(c)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Validate = %v, scan = %v on\n%s", got, want, c)
+		}
+		if want == nil {
+			valid++
+		} else {
+			invalid++
+		}
+	}
+	if valid < 500 || invalid < 500 {
+		t.Errorf("unbalanced cases: %d valid, %d invalid", valid, invalid)
 	}
 }

@@ -60,7 +60,7 @@ func TestMappingTablesMatchConjugation(t *testing.T) {
 				}
 				b := base.Clone()
 				b.ApplyGate(g, 0)
-				applyRecords(b, f.Records())
+				applyRecords(b, f.AppendRecords(nil))
 				if ok, _ := statevec.EqualUpToGlobalPhase(a, b, 1e-9); !ok {
 					t.Errorf("%s with records (%v,%v): conjugation mismatch", name, r0, r1)
 				}
@@ -83,7 +83,7 @@ func TestMappingTablesMatchConjugation(t *testing.T) {
 				}
 				b := base.Clone()
 				b.ApplyGate(g, 0, 1)
-				applyRecords(b, f.Records())
+				applyRecords(b, f.AppendRecords(nil))
 				if ok, _ := statevec.EqualUpToGlobalPhase(a, b, 1e-9); !ok {
 					t.Errorf("%s with records (%v,%v): conjugation mismatch", name, r0, r1)
 				}

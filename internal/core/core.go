@@ -175,9 +175,20 @@ func (f *Frame) String() string {
 	return s
 }
 
-// Records returns a copy of all records.
-func (f *Frame) Records() []pauli.Record {
-	return append([]pauli.Record(nil), f.recs...)
+// AppendRecords appends a copy of all records to dst and returns the
+// extended slice; with a reused dst it snapshots the frame without
+// allocating.
+func (f *Frame) AppendRecords(dst []pauli.Record) []pauli.Record {
+	return append(dst, f.recs...)
+}
+
+// RestoreRecords overwrites the records with a snapshot taken by
+// AppendRecords on a frame of the same size.
+func (f *Frame) RestoreRecords(snap []pauli.Record) {
+	if len(snap) != len(f.recs) {
+		panic(fmt.Sprintf("core: snapshot of %d records restored into a frame of %d", len(snap), len(f.recs)))
+	}
+	copy(f.recs, snap)
 }
 
 // PendingCount returns the number of non-identity records.
@@ -210,7 +221,7 @@ type Stats struct {
 
 // PFU couples a Pauli frame with the Pauli arbiter's routing logic
 // (thesis Fig 3.11): Process consumes one operation from the stream and
-// returns the operations to forward to the physical execution layer.
+// appends the operations to forward to the physical execution layer.
 type PFU struct {
 	Frame *Frame
 	Stats Stats
@@ -220,56 +231,58 @@ type PFU struct {
 func NewPFU(n int) *PFU { return &PFU{Frame: NewFrame(n)} }
 
 // Process routes one operation per thesis Table 3.1 / Fig 3.12 and
-// returns the physical operations to forward downward, in order. Pauli
-// gates return an empty slice; non-Clifford gates return the flushed
-// Pauli gates followed by the gate itself.
-func (u *PFU) Process(op circuit.Operation) ([]circuit.Operation, error) {
+// appends the physical operations to forward downward to dst, in order,
+// returning the extended slice. Pauli gates append nothing; non-Clifford
+// gates append the flushed Pauli gates followed by the gate itself. With
+// a reused dst, Process allocates nothing: a flush gate's operand is a
+// capacity-capped window of op's own qubit slice. On error dst is
+// returned unextended.
+func (u *PFU) Process(dst []circuit.Operation, op circuit.Operation) ([]circuit.Operation, error) {
 	g := op.Gate
 	switch g.Class {
 	case gates.ClassReset:
 		// Step 1: forward the reset; step 2: record to I (Fig 3.12a).
 		u.Frame.Reset(op.Qubits[0])
 		u.Stats.Resets++
-		return []circuit.Operation{op}, nil
+		return append(dst, op), nil
 	case gates.ClassMeasure:
 		// Forward untouched; the result is mapped on the way back up
 		// via MapMeasurement (Fig 3.12b).
-		return []circuit.Operation{op}, nil
+		return append(dst, op), nil
 	case gates.ClassPauli:
 		// Absorb (Fig 3.12c).
 		if err := u.Frame.TrackPauli(g.Name, op.Qubits[0]); err != nil {
-			return nil, err
+			return dst, err
 		}
 		u.Stats.PauliAbsorbed++
-		return nil, nil
+		return dst, nil
 	case gates.ClassClifford:
 		if !HasMappingTable(g.Name) {
-			return u.flushAndForward(op)
+			return u.flushAndForward(dst, op), nil
 		}
 		// Map records, then forward (Fig 3.12d).
 		if err := u.Frame.MapClifford(g.Name, op.Qubits); err != nil {
-			return nil, err
+			return dst, err
 		}
 		u.Stats.CliffordMapped++
-		return []circuit.Operation{op}, nil
+		return append(dst, op), nil
 	case gates.ClassNonClifford:
-		return u.flushAndForward(op)
+		return u.flushAndForward(dst, op), nil
 	}
-	return nil, fmt.Errorf("core: unknown operation class %v", g.Class)
+	return dst, fmt.Errorf("core: unknown operation class %v", g.Class)
 }
 
 // flushAndForward implements Fig 3.12e: flush the operand records as
 // physical Pauli gates, then forward the original gate.
-func (u *PFU) flushAndForward(op circuit.Operation) ([]circuit.Operation, error) {
-	var out []circuit.Operation
-	for _, q := range op.Qubits {
+func (u *PFU) flushAndForward(dst []circuit.Operation, op circuit.Operation) []circuit.Operation {
+	for i, q := range op.Qubits {
 		if g := u.Frame.FlushGate(q); g != nil {
-			out = append(out, circuit.NewOp(g, q))
+			dst = append(dst, circuit.Operation{Gate: g, Qubits: op.Qubits[i : i+1 : i+1]})
 			u.Stats.FlushGates++
 		}
 	}
 	u.Stats.NonClifford++
-	return append(out, op), nil
+	return append(dst, op)
 }
 
 // MapMeasurement maps a raw measurement result of qubit q through the

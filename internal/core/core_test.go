@@ -15,7 +15,7 @@ func TestArbiterRoutingTable31(t *testing.T) {
 
 	// Initialization: forwarded, record reset.
 	u.Frame.SetRecord(0, pauli.RecXZ)
-	out, err := u.Process(circuit.NewOp(gates.Prep, 0))
+	out, err := u.Process(nil, circuit.NewOp(gates.Prep, 0))
 	if err != nil || len(out) != 1 || out[0].Gate != gates.Prep {
 		t.Fatalf("reset routing: out=%v err=%v", out, err)
 	}
@@ -24,7 +24,7 @@ func TestArbiterRoutingTable31(t *testing.T) {
 	}
 
 	// Pauli gate: absorbed, nothing forwarded.
-	out, err = u.Process(circuit.NewOp(gates.X, 1))
+	out, err = u.Process(nil, circuit.NewOp(gates.X, 1))
 	if err != nil || len(out) != 0 {
 		t.Fatalf("pauli routing: out=%v err=%v", out, err)
 	}
@@ -33,7 +33,7 @@ func TestArbiterRoutingTable31(t *testing.T) {
 	}
 
 	// Clifford gate: record mapped, gate forwarded.
-	out, err = u.Process(circuit.NewOp(gates.H, 1))
+	out, err = u.Process(nil, circuit.NewOp(gates.H, 1))
 	if err != nil || len(out) != 1 || out[0].Gate != gates.H {
 		t.Fatalf("clifford routing: out=%v err=%v", out, err)
 	}
@@ -42,14 +42,14 @@ func TestArbiterRoutingTable31(t *testing.T) {
 	}
 
 	// Measurement: forwarded untouched.
-	out, err = u.Process(circuit.NewOp(gates.Measure, 1))
+	out, err = u.Process(nil, circuit.NewOp(gates.Measure, 1))
 	if err != nil || len(out) != 1 || out[0].Gate != gates.Measure {
 		t.Fatalf("measure routing: out=%v err=%v", out, err)
 	}
 
 	// Non-Clifford gate: flush then forward.
 	u.Frame.SetRecord(2, pauli.RecX)
-	out, err = u.Process(circuit.NewOp(gates.T, 2))
+	out, err = u.Process(nil, circuit.NewOp(gates.T, 2))
 	if err != nil || len(out) != 2 {
 		t.Fatalf("non-clifford routing: out=%v err=%v", out, err)
 	}
@@ -107,13 +107,13 @@ func TestDoubleErrorCancels(t *testing.T) {
 	// Thesis Fig 3.7: an X record followed by a combined XZ detection
 	// leaves only Z tracked.
 	u := NewPFU(1)
-	if _, err := u.Process(circuit.NewOp(gates.X, 0)); err != nil {
+	if _, err := u.Process(nil, circuit.NewOp(gates.X, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Process(circuit.NewOp(gates.X, 0)); err != nil {
+	if _, err := u.Process(nil, circuit.NewOp(gates.X, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Process(circuit.NewOp(gates.Z, 0)); err != nil {
+	if _, err := u.Process(nil, circuit.NewOp(gates.Z, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := u.Frame.Record(0); got != pauli.RecZ {
@@ -127,7 +127,7 @@ func TestCNOTPropagation(t *testing.T) {
 	// syndromes automatically.
 	u := NewPFU(2)
 	u.Frame.SetRecord(0, pauli.RecX)
-	if _, err := u.Process(circuit.NewOp(gates.CNOT, 0, 1)); err != nil {
+	if _, err := u.Process(nil, circuit.NewOp(gates.CNOT, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if u.Frame.Record(0) != pauli.RecX || u.Frame.Record(1) != pauli.RecX {
@@ -198,7 +198,7 @@ func TestStats(t *testing.T) {
 		circuit.NewOp(gates.Measure, 1),
 	}
 	for _, op := range ops {
-		if _, err := u.Process(op); err != nil {
+		if _, err := u.Process(nil, op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestStats(t *testing.T) {
 func TestIdentityGateIsNoop(t *testing.T) {
 	u := NewPFU(1)
 	u.Frame.SetRecord(0, pauli.RecZ)
-	out, err := u.Process(circuit.NewOp(gates.I, 0))
+	out, err := u.Process(nil, circuit.NewOp(gates.I, 0))
 	if err != nil || len(out) != 0 {
 		t.Fatalf("identity routing: out=%v err=%v", out, err)
 	}
@@ -235,7 +235,7 @@ func TestToffoliFlushesAllOperands(t *testing.T) {
 	u.Frame.SetRecord(0, pauli.RecX)
 	u.Frame.SetRecord(1, pauli.RecZ)
 	u.Frame.SetRecord(2, pauli.RecXZ)
-	out, err := u.Process(circuit.NewOp(gates.Toffoli, 0, 1, 2))
+	out, err := u.Process(nil, circuit.NewOp(gates.Toffoli, 0, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,5 +249,52 @@ func TestToffoliFlushesAllOperands(t *testing.T) {
 		if u.Frame.Record(q) != pauli.RecI {
 			t.Errorf("record %d not flushed", q)
 		}
+	}
+}
+
+// TestProcessAppends pins the append contract of the arbiter: forwarded
+// operations extend dst after its existing entries, a reused dst costs
+// no allocation, and a flush gate's capacity-capped operand cannot be
+// grown into the qubit slice of the operation that caused the flush.
+func TestProcessAppends(t *testing.T) {
+	u := NewPFU(3)
+	head := circuit.NewOp(gates.H, 2)
+	u.Frame.SetRecord(0, pauli.RecX)
+	u.Frame.SetRecord(1, pauli.RecZ)
+	tof := circuit.NewOp(gates.Toffoli, 0, 1, 2)
+	out, err := u.Process([]circuit.Operation{head}, tof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 4 || out[0].Gate != gates.H || out[1].Gate != gates.X ||
+		out[2].Gate != gates.Z || out[3].Gate != gates.Toffoli {
+		t.Fatalf("appended ops = %v", out)
+	}
+	grown := append(out[1].Qubits, 7)
+	if grown[0] != 0 || tof.Qubits[1] != 1 {
+		t.Errorf("flush operand aliases into the toffoli's qubits: %v", tof.Qubits)
+	}
+	if out, err = u.Process(out, circuit.NewOp(gates.X, 0)); err != nil || len(out) != 4 {
+		t.Errorf("absorbed gate changed dst: %v, %v", out, err)
+	}
+
+	ops := []circuit.Operation{
+		circuit.NewOp(gates.X, 0),
+		circuit.NewOp(gates.CNOT, 0, 1),
+		circuit.NewOp(gates.T, 1),
+		circuit.NewOp(gates.Measure, 1),
+		circuit.NewOp(gates.Prep, 1),
+	}
+	dst := make([]circuit.Operation, 0, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, op := range ops {
+			var err error
+			if dst, err = u.Process(dst[:0], op); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Process with a reused dst allocates %v times per pass", allocs)
 	}
 }

@@ -20,8 +20,9 @@ func Example() {
 		circuit.NewOp(gates.CNOT, 0, 1), // records map, forwarded
 		circuit.NewOp(gates.T, 0),       // flush Z first, then T
 	}
+	var fwd []circuit.Operation // reused: Process appends to it
 	for _, op := range ops {
-		fwd, _ := pfu.Process(op)
+		fwd, _ = pfu.Process(fwd[:0], op)
 		names := make([]string, len(fwd))
 		for i, f := range fwd {
 			names[i] = string(f.Gate.Name)

@@ -184,6 +184,7 @@ type ChpCore struct {
 	tab     *chp.Tableau
 	binary  []qpdo.BinaryState
 	queue   []*circuit.Circuit
+	meas    int // measurement operations in the queue
 	removed int // logically removed trailing qubits (still in the tableau)
 }
 
@@ -252,32 +253,42 @@ func (c *ChpCore) Add(circ *circuit.Circuit) error {
 	if err := qpdo.Validate(circ, len(c.binary)); err != nil {
 		return err
 	}
+	meas := 0
 	for _, slot := range circ.Slots {
 		for _, op := range slot.Ops {
 			if op.Gate.Class == gates.ClassNonClifford {
 				return fmt.Errorf("layers: ChpCore cannot simulate non-Clifford gate %s", op.Gate)
 			}
+			if op.Gate.Class == gates.ClassMeasure {
+				meas++
+			}
 		}
 	}
 	c.queue = append(c.queue, circ)
+	c.meas += meas
 	return nil
 }
 
-// Execute runs every queued circuit in order.
+// Execute runs every queued circuit in order. Its result slice is sized
+// from the queued measurements, so a call costs two allocations at most.
 func (c *ChpCore) Execute() (*qpdo.Result, error) {
-	res := &qpdo.Result{}
+	res := &qpdo.Result{Measurements: make([]qpdo.Measurement, 0, c.meas)}
+	defer c.clearQueue()
 	for _, circ := range c.queue {
 		for _, slot := range circ.Slots {
 			for _, op := range slot.Ops {
 				if err := c.applyOp(op, res); err != nil {
-					c.queue = c.queue[:0]
 					return nil, err
 				}
 			}
 		}
 	}
-	c.queue = c.queue[:0]
 	return res, nil
+}
+
+func (c *ChpCore) clearQueue() {
+	c.queue = c.queue[:0]
+	c.meas = 0
 }
 
 func (c *ChpCore) applyOp(op circuit.Operation, res *qpdo.Result) error {
@@ -355,5 +366,5 @@ func (c *ChpCore) Reset(rng *rand.Rand) {
 	for q := range c.binary {
 		c.binary[q] = qpdo.StateZero
 	}
-	c.queue = c.queue[:0]
+	c.clearQueue()
 }

@@ -57,6 +57,16 @@ type ErrorLayer struct {
 	// busy is the reusable per-slot occupancy scratch (indexed by
 	// physical qubit), cleared after each slot instead of reallocated.
 	busy []bool
+	// operand is the shared index table 0..n-1 behind the injected
+	// error operations: an error on qubit q takes operand[q:q+1:q+1]
+	// as its qubit slice instead of allocating one.
+	operand []int
+	// pool holds the rewritten circuits handed to the next layer; it is
+	// recycled once the Execute that consumed them has returned.
+	pool circuit.Pool
+	// pre and post are reusable per-slot scratch for the injected
+	// errors ahead of and after the slot.
+	pre, post []circuit.Operation
 }
 
 // NewErrorLayer stacks the thesis' symmetric depolarizing error layer
@@ -87,8 +97,9 @@ func (e *ErrorLayer) SetBypass(on bool) {
 
 // Reconfigure swaps in a new channel and RNG and clears the statistics,
 // restoring the layer to its freshly built state (stack reuse across
-// Monte-Carlo samples). It panics on an invalid model, like the
-// constructor.
+// Monte-Carlo samples). It recycles the circuits the layer handed down,
+// so nothing may be left queued below it. It panics on an invalid
+// model, like the constructor.
 func (e *ErrorLayer) Reconfigure(m Model, rng *rand.Rand) {
 	if err := m.Validate(); err != nil {
 		panic(err)
@@ -98,6 +109,15 @@ func (e *ErrorLayer) Reconfigure(m Model, rng *rand.Rand) {
 	e.Stats = ErrorStats{}
 	e.rng = rng
 	e.bypass = false
+	e.pool.Recycle()
+}
+
+// Execute runs the forwarded stream and recycles the circuits it
+// consumed.
+func (e *ErrorLayer) Execute() (*qpdo.Result, error) {
+	res, err := e.Next.Execute()
+	e.pool.Recycle()
+	return res, err
 }
 
 // twoQubitErrorTable lists the 15 equally likely error pairs for
@@ -129,13 +149,16 @@ func (e *ErrorLayer) Add(c *circuit.Circuit) error {
 	if cap(e.busy) < n {
 		e.busy = make([]bool, n)
 	}
+	for len(e.operand) < n {
+		e.operand = append(e.operand, len(e.operand))
+	}
 	busy := e.busy[:n]
-	out := circuit.New()
+	out := e.pool.Get()
 	for _, slot := range c.Slots {
-		var pre, post []circuit.Operation
+		pre, post := e.pre[:0], e.post[:0]
 		for _, op := range slot.Ops {
 			for _, q := range op.Qubits {
-				if q < n {
+				if uint(q) < uint(n) {
 					busy[q] = true
 				}
 			}
@@ -143,7 +166,7 @@ func (e *ErrorLayer) Add(c *circuit.Circuit) error {
 			case op.Gate.Class == gates.ClassMeasure:
 				e.Stats.OpsSeen++
 				if e.rng.Float64() < e.Model.PMeas {
-					pre = append(pre, circuit.NewOp(gates.X, op.Qubits[0]))
+					pre = append(pre, e.errOp(gates.X, op.Qubits[0]))
 					e.Stats.MeasurementErrors++
 				}
 			case op.Gate.Arity == 2 && e.Model.CorrelatedTwoQubit:
@@ -152,7 +175,7 @@ func (e *ErrorLayer) Add(c *circuit.Circuit) error {
 					pair := twoQubitErrorTable[e.rng.Intn(len(twoQubitErrorTable))]
 					for i, g := range pair {
 						if g != nil {
-							post = append(post, circuit.NewOp(g, op.Qubits[i]))
+							post = append(post, e.errOp(g, op.Qubits[i]))
 						}
 					}
 					e.Stats.TwoQubitErrors++
@@ -163,7 +186,7 @@ func (e *ErrorLayer) Add(c *circuit.Circuit) error {
 				for _, q := range op.Qubits {
 					e.Stats.OpsSeen++
 					if g := e.Model.draw(e.rng); g != nil {
-						post = append(post, circuit.NewOp(g, q))
+						post = append(post, e.errOp(g, q))
 						if op.Gate.Arity == 2 {
 							e.Stats.TwoQubitErrors++
 						} else {
@@ -181,10 +204,11 @@ func (e *ErrorLayer) Add(c *circuit.Circuit) error {
 			}
 			e.Stats.OpsSeen++
 			if g := e.Model.draw(e.rng); g != nil {
-				post = append(post, circuit.NewOp(g, q))
+				post = append(post, e.errOp(g, q))
 				e.Stats.IdleErrors++
 			}
 		}
+		e.pre, e.post = pre, post
 		if len(pre) > 0 {
 			out.AddParallel(pre...)
 		}
@@ -196,6 +220,17 @@ func (e *ErrorLayer) Add(c *circuit.Circuit) error {
 	return e.Next.Add(out)
 }
 
+// errOp builds the error g on qubit q over the shared operand table. A
+// qubit outside the table is outside the stack too: it gets a qubit
+// slice of its own, and the next layer's validation rejects the
+// circuit.
+func (e *ErrorLayer) errOp(g *gates.Gate, q int) circuit.Operation {
+	if uint(q) >= uint(len(e.operand)) {
+		return circuit.NewOp(g, q)
+	}
+	return circuit.Operation{Gate: g, Qubits: e.operand[q : q+1 : q+1]}
+}
+
 // CounterStats holds what one counter layer observed in the downward
 // circuit stream.
 type CounterStats struct {
@@ -205,8 +240,8 @@ type CounterStats struct {
 	Slots int
 	// Ops counts operations of all kinds.
 	Ops int
-	// ByClass counts operations per class.
-	ByClass map[gates.Class]int
+	// ByClass counts operations per class, indexed by gates.Class.
+	ByClass [gates.ClassMeasure + 1]int
 }
 
 // CounterLayer is the diagnostic layer of thesis §4.2.3: it counts the
@@ -221,10 +256,7 @@ type CounterLayer struct {
 
 // NewCounterLayer stacks a counter above next.
 func NewCounterLayer(next qpdo.Core) *CounterLayer {
-	return &CounterLayer{
-		Forwarder: qpdo.Forwarder{Next: next},
-		Stats:     CounterStats{ByClass: map[gates.Class]int{}},
-	}
+	return &CounterLayer{Forwarder: qpdo.Forwarder{Next: next}}
 }
 
 // SetBypass pauses counting and forwards the toggle.
@@ -250,5 +282,5 @@ func (l *CounterLayer) Add(c *circuit.Circuit) error {
 
 // ResetStats clears the counters.
 func (l *CounterLayer) ResetStats() {
-	l.Stats = CounterStats{ByClass: map[gates.Class]int{}}
+	l.Stats = CounterStats{}
 }

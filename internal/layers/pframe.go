@@ -6,6 +6,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/gates"
+	"repro/internal/pauli"
 	"repro/internal/qpdo"
 )
 
@@ -28,11 +29,28 @@ type PauliFrameLayer struct {
 	// SlotsSaved counts input time slots that vanished because every
 	// operation in them was absorbed (thesis Fig 5.26).
 	SlotsSaved int
+
+	// pool holds the rewritten circuits handed to the next layer; it is
+	// recycled once the Execute that consumed them has returned.
+	pool circuit.Pool
+	// fwd, flush and main are reusable per-slot scratch: the arbiter's
+	// output for one operation and the flush and main slots it feeds.
+	fwd, flush, main []circuit.Operation
+	// saved is the scratch snapshot that makes Add atomic.
+	saved pfSnapshot
 }
 
 type measFlip struct {
 	qubit int
 	flip  bool
+}
+
+// pfSnapshot is the layer state an Add may change before it fails.
+type pfSnapshot struct {
+	recs       []pauli.Record
+	stats      core.Stats
+	slotsSaved int
+	flips      int
 }
 
 // NewPauliFrameLayer stacks a Pauli frame above next, sized to the
@@ -46,12 +64,15 @@ func NewPauliFrameLayer(next qpdo.Core) *PauliFrameLayer {
 
 // Reset clears every Pauli record, the pending measurement flips, the
 // arbiter statistics and the slot-saving counter, restoring the layer to
-// its freshly built state (stack reuse across Monte-Carlo samples).
+// its freshly built state (stack reuse across Monte-Carlo samples). It
+// recycles the circuits the layer handed down, so nothing may be left
+// queued below it.
 func (l *PauliFrameLayer) Reset() {
 	l.PFU.Frame.Clear()
 	l.PFU.Stats = core.Stats{}
 	l.pendingFlips = l.pendingFlips[:0]
 	l.SlotsSaved = 0
+	l.pool.Recycle()
 }
 
 // CreateQubits grows the frame alongside the stack.
@@ -74,14 +95,18 @@ func (l *PauliFrameLayer) RemoveQubits(m int) error {
 // Add transforms the circuit through the Pauli arbiter and forwards the
 // result. Time slots whose operations were all absorbed are dropped;
 // flush gates for non-Clifford operations are emitted in a dedicated
-// slot preceding the slot of the gate itself.
+// slot preceding the slot of the gate itself. Add is atomic: when the
+// arbiter or the next layer rejects the circuit, the records, the
+// pending measurement flips, the statistics and SlotsSaved are restored
+// to what they were before the call.
 func (l *PauliFrameLayer) Add(c *circuit.Circuit) error {
 	if err := qpdo.Validate(c, l.PFU.Frame.Size()); err != nil {
 		return err
 	}
-	out := circuit.New()
+	l.save()
+	var out *circuit.Circuit
 	for _, slot := range c.Slots {
-		var flushOps, mainOps []circuit.Operation
+		flush, main := l.flush[:0], l.main[:0]
 		for _, op := range slot.Ops {
 			if op.Gate.Class == gates.ClassMeasure {
 				// Capture the flip decision at this point in the stream.
@@ -90,46 +115,79 @@ func (l *PauliFrameLayer) Add(c *circuit.Circuit) error {
 					flip:  l.PFU.Frame.FlipsMeasurement(op.Qubits[0]),
 				})
 			}
-			fwd, err := l.PFU.Process(op)
+			fwd, err := l.PFU.Process(l.fwd[:0], op)
 			if err != nil {
+				l.restore()
 				return err
 			}
+			l.fwd = fwd
 			if len(fwd) > 1 {
-				flushOps = append(flushOps, fwd[:len(fwd)-1]...)
-				mainOps = append(mainOps, fwd[len(fwd)-1])
+				flush = append(flush, fwd[:len(fwd)-1]...)
+				main = append(main, fwd[len(fwd)-1])
 			} else {
-				mainOps = append(mainOps, fwd...)
+				main = append(main, fwd...)
 			}
 		}
-		if len(flushOps) > 0 {
-			out.AddParallel(flushOps...)
-		}
-		if len(mainOps) > 0 {
-			out.AddParallel(mainOps...)
-		} else if len(flushOps) == 0 {
+		l.flush, l.main = flush, main
+		if len(flush) == 0 && len(main) == 0 {
 			l.SlotsSaved++
+			continue
+		}
+		if out == nil {
+			out = l.pool.Get()
+		}
+		if len(flush) > 0 {
+			out.AddParallel(flush...)
+		}
+		if len(main) > 0 {
+			out.AddParallel(main...)
 		}
 	}
-	if out.NumSlots() == 0 {
+	if out == nil {
 		// Nothing physical to do; the whole circuit was absorbed.
 		return nil
 	}
-	return l.Next.Add(out)
+	if err := l.Next.Add(out); err != nil {
+		l.restore()
+		return err
+	}
+	return nil
+}
+
+// save snapshots the state Add changes into reusable scratch.
+func (l *PauliFrameLayer) save() {
+	l.saved.recs = l.PFU.Frame.AppendRecords(l.saved.recs[:0])
+	l.saved.stats = l.PFU.Stats
+	l.saved.slotsSaved = l.SlotsSaved
+	l.saved.flips = len(l.pendingFlips)
+}
+
+// restore undoes a failed Add from the snapshot taken by save.
+func (l *PauliFrameLayer) restore() {
+	l.PFU.Frame.RestoreRecords(l.saved.recs)
+	l.PFU.Stats = l.saved.stats
+	l.SlotsSaved = l.saved.slotsSaved
+	l.pendingFlips = l.pendingFlips[:l.saved.flips]
 }
 
 // Execute runs the forwarded stream and maps the measurement results
-// through the frame in order.
+// through the frame in order. Whatever the outcome, the next layer's
+// queue is spent, so the pending flips are dropped and the pooled
+// circuits recycled.
 func (l *PauliFrameLayer) Execute() (*qpdo.Result, error) {
 	res, err := l.Next.Execute()
+	l.pool.Recycle()
+	flips := l.pendingFlips
+	l.pendingFlips = l.pendingFlips[:0]
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Measurements) != len(l.pendingFlips) {
+	if len(res.Measurements) != len(flips) {
 		return nil, fmt.Errorf("layers: pauli frame saw %d pending measurements but %d results arrived",
-			len(l.pendingFlips), len(res.Measurements))
+			len(flips), len(res.Measurements))
 	}
 	for i := range res.Measurements {
-		pf := l.pendingFlips[i]
+		pf := flips[i]
 		m := &res.Measurements[i]
 		if m.Qubit != pf.qubit {
 			return nil, fmt.Errorf("layers: measurement order mismatch: result %d is qubit %d, frame expected qubit %d",
@@ -140,7 +198,6 @@ func (l *PauliFrameLayer) Execute() (*qpdo.Result, error) {
 			l.PFU.Stats.MeasurementsFlipped++
 		}
 	}
-	l.pendingFlips = l.pendingFlips[:0]
 	return res, nil
 }
 
@@ -180,5 +237,6 @@ func (l *PauliFrameLayer) Flush() error {
 		return err
 	}
 	_, err := l.Next.Execute()
+	l.pool.Recycle()
 	return err
 }

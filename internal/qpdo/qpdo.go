@@ -96,6 +96,18 @@ var ErrUnsupported = errors.New("qpdo: operation not supported by this core")
 // core; every other layer wraps a next Core and is free to rewrite the
 // circuit stream on the way down and the measurement stream on the way
 // up.
+//
+// Circuits passed to Add follow one ownership rule, which lets callers
+// replay memoized circuits and lets rewriting layers build their output
+// in pooled storage:
+//
+//   - a circuit passed to Add is read-only to the callee, down to its
+//     operations' qubit slices;
+//   - the callee must not keep the circuit, or anything it references,
+//     past the Execute that consumes it.
+//
+// A layer that rewrites circuits may therefore reuse its output
+// circuits once its call to the next layer's Execute has returned.
 type Core interface {
 	// CreateQubits allocates n new qubits initialized to |0⟩.
 	CreateQubits(n int) error
@@ -104,7 +116,9 @@ type Core interface {
 	RemoveQubits(m int) error
 	// NumQubits returns the number of allocated qubits.
 	NumQubits() int
-	// Add queues a circuit for execution.
+	// Add queues a circuit for execution. The circuit is read-only to
+	// the callee and must not be kept past the Execute that consumes
+	// it (see the ownership rule above).
 	Add(c *circuit.Circuit) error
 	// Execute runs all queued circuits and returns the measurement
 	// results in execution order.

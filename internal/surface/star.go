@@ -47,12 +47,15 @@ type Star struct {
 	// esmCache memoizes the ESM circuit per (Rotation, Dance). The
 	// circuit is a pure function of those two fields plus Mode and the
 	// physical indices, which are fixed after creation, and every layer
-	// in the stack treats added circuits as immutable (the error and
-	// Pauli-frame layers emit fresh output circuits), so one instance per
-	// variant can be replayed every round. ESM dominates the LER
-	// hot path — without the cache each round rebuilds an 8-slot,
-	// 48-operation circuit.
+	// in the stack treats added circuits as read-only (the ownership
+	// rule of qpdo.Core.Add), so one instance per variant can be
+	// replayed every round. ESM dominates the LER hot path — without
+	// the cache each round rebuilds an 8-slot, 48-operation circuit.
 	esmCache [2][2]*circuit.Circuit
+	// probeZL and probeXL memoize the logical probes per Rotation on
+	// the same grounds; the windows protocol runs one after every clean
+	// diagnostic round.
+	probeZL, probeXL [2]*circuit.Circuit
 }
 
 // phys translates a relative qubit index (0..16) to a physical index.
@@ -281,11 +284,15 @@ func TwoQubitTransversal(g *gates.Gate, a, b *Star, rotatedPairing bool) *circui
 	return c
 }
 
-// ProbeZLCircuit builds the Z_L stabilizer probe of thesis Fig 5.10a: an
-// ancilla-assisted measurement of the Z chain that detects logical X
+// ProbeZLCircuit returns the Z_L stabilizer probe of thesis Fig 5.10a:
+// an ancilla-assisted measurement of the Z chain that detects logical X
 // errors without disturbing the encoded state. The star's first ancilla
-// is reused as the probe ancilla (it is reset first).
+// is reused as the probe ancilla (it is reset first). The circuit is
+// built once per rotation and shared; callers must not modify it.
 func (s *Star) ProbeZLCircuit() *circuit.Circuit {
+	if c := s.probeZL[s.Rotation]; c != nil {
+		return c
+	}
 	anc := s.Anc[0]
 	c := circuit.New()
 	c.Add(gates.Prep, anc)
@@ -293,12 +300,17 @@ func (s *Star) ProbeZLCircuit() *circuit.Circuit {
 		c.Add(gates.CNOT, s.phys(d), anc)
 	}
 	c.Add(gates.Measure, anc)
+	s.probeZL[s.Rotation] = c
 	return c
 }
 
-// ProbeXLCircuit builds the X_L stabilizer probe of thesis Fig 5.10b,
-// detecting logical Z errors on a |+⟩_L-type state.
+// ProbeXLCircuit returns the X_L stabilizer probe of thesis Fig 5.10b,
+// detecting logical Z errors on a |+⟩_L-type state; memoized like
+// ProbeZLCircuit.
 func (s *Star) ProbeXLCircuit() *circuit.Circuit {
+	if c := s.probeXL[s.Rotation]; c != nil {
+		return c
+	}
 	anc := s.Anc[0]
 	c := circuit.New()
 	c.Add(gates.Prep, anc)
@@ -308,5 +320,6 @@ func (s *Star) ProbeXLCircuit() *circuit.Circuit {
 	}
 	c.Add(gates.H, anc)
 	c.Add(gates.Measure, anc)
+	s.probeXL[s.Rotation] = c
 	return c
 }

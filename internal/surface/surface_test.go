@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/circuit"
@@ -70,6 +71,59 @@ func TestESMStructure(t *testing.T) {
 	}
 	if got := c3.CountClass(gates.ClassMeasure); got != 4 {
 		t.Errorf("z-only measurements = %d, want 4", got)
+	}
+}
+
+// TestProbeCircuitsMemoized checks that the logical probes are built
+// once per rotation and follow the star's current rotation: the chain
+// the probe couples to the ancilla is the logical operator of that
+// rotation.
+func TestProbeCircuitsMemoized(t *testing.T) {
+	st := &Star{Mode: AncillaDedicated}
+	for i := 0; i < NumData; i++ {
+		st.Data[i] = i
+	}
+	for i := 0; i < NumAncilla; i++ {
+		st.Anc[i] = NumData + i
+	}
+	chain := func(c *circuit.Circuit) []int {
+		var qs []int
+		for _, slot := range c.Slots {
+			for _, op := range slot.Ops {
+				if op.Gate == gates.CNOT {
+					for _, q := range op.Qubits {
+						if q != st.Anc[0] {
+							qs = append(qs, q)
+						}
+					}
+				}
+			}
+		}
+		return qs
+	}
+	for _, rot := range []Rotation{RotNormal, RotRotated} {
+		st.Rotation = rot
+		for name, probe := range map[string]func() *circuit.Circuit{
+			"ZL": st.ProbeZLCircuit, "XL": st.ProbeXLCircuit,
+		} {
+			c := probe()
+			if probe() != c {
+				t.Errorf("%s probe rebuilt on a second call (rotation %d)", name, rot)
+			}
+			want := LogicalZ(rot)
+			if name == "XL" {
+				want = LogicalX(rot)
+			}
+			if got := chain(c); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s probe at rotation %d couples %v, want %v", name, rot, got, want)
+			}
+		}
+	}
+	st.Rotation = RotNormal
+	normal := st.ProbeZLCircuit()
+	st.Rotation = RotRotated
+	if st.ProbeZLCircuit() == normal {
+		t.Error("the two rotations share one probe circuit")
 	}
 }
 
