@@ -221,4 +221,10 @@ func main() {
 				without[i].MeanLER()-with[i].MeanLER())
 		}
 	}
+	if store != nil {
+		if err := store.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "lersweep:", err)
+			os.Exit(1)
+		}
+	}
 }

@@ -24,6 +24,11 @@
 //	sweepd status -id ID [-addr URL]
 //	sweepd result -id ID [-addr URL] [-o FILE]
 //	sweepd resume -id ID [-addr URL] [-wait] [-poll DUR]
+//	sweepd fsck   -store DIR [-repair]
+//
+// fsck verifies every record of a stopped server's store and prints
+// counts of records, shards, pins, bad records and torn bytes; it exits
+// 1 on damage unless -repair compacts the bad records away.
 //
 // submit reads a bare experiments.Spec JSON object from FILE, wraps it
 // with the binary's config-hash version, and posts it; the server
@@ -63,6 +68,8 @@ func main() {
 		err = cmdWorker(os.Args[2:])
 	case "submit", "status", "result", "resume":
 		err = cmdClient(cmd, os.Args[2:])
+	case "fsck":
+		err = cmdFsck(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -89,7 +96,8 @@ func usage() {
   sweepd submit -spec FILE [-addr URL] [-wait] [-poll DUR]
   sweepd status -id ID [-addr URL]
   sweepd result -id ID [-addr URL] [-o FILE]
-  sweepd resume -id ID [-addr URL] [-wait] [-poll DUR]`)
+  sweepd resume -id ID [-addr URL] [-wait] [-poll DUR]
+  sweepd fsck   -store DIR [-repair]`)
 	os.Exit(2)
 }
 
@@ -98,7 +106,7 @@ type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
-func cmdServe(args []string) error {
+func cmdServe(args []string) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8070", "listen address")
 	storeDir := fs.String("store", "", "result store directory (required)")
@@ -133,6 +141,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer func() { err = errors.Join(err, st.Close()) }()
 	st.SetMaxBytes(*maxBytes)
 	opt := sweepserve.Options{Store: st, Workers: *workers}
 	if dispatch != nil {
@@ -215,7 +224,7 @@ func dispatchOptions(fs *flag.FlagSet, peers string, batch, inflight, retries in
 // with one, the worker keeps a local shard cache (shard keys are
 // network-portable content addresses, so its hits are valid for any
 // coordinator); without one it recomputes every batch.
-func cmdWorker(args []string) error {
+func cmdWorker(args []string) (err error) {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8071", "listen address")
 	storeDir := fs.String("store", "", "optional local shard-cache directory")
@@ -242,6 +251,7 @@ func cmdWorker(args []string) error {
 		if err != nil {
 			return err
 		}
+		defer func() { err = errors.Join(err, st.Close()) }()
 		st.SetMaxBytes(*maxBytes)
 		wopt.Store = st
 	}
@@ -264,6 +274,36 @@ func cmdWorker(args []string) error {
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return hs.Shutdown(shutCtx)
+}
+
+// cmdFsck verifies a store offline. It takes the store's lock, so it
+// fails with a clear error while a server still has the store open.
+func cmdFsck(args []string) error {
+	fs := flag.NewFlagSet("fsck", flag.ContinueOnError)
+	storeDir := fs.String("store", "", "store directory to verify (required)")
+	repair := fs.Bool("repair", false, "compact bad records and torn tails away")
+	if err := fs.Parse(args); err != nil {
+		return usageError(fmt.Sprintf("fsck: %v", err))
+	}
+	switch {
+	case fs.NArg() > 0:
+		return usageError(fmt.Sprintf("fsck: unexpected argument %q", fs.Arg(0)))
+	case *storeDir == "":
+		return usageError("fsck: -store is required")
+	}
+	rep, err := sweepstore.Fsck(*storeDir, *repair)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("store %s: %d records, %d shards, %d pins, %d bad records, %d torn bytes\n",
+		*storeDir, rep.Records, rep.Shards, rep.Pins, rep.Bad, rep.TornBytes)
+	switch {
+	case rep.Repaired:
+		fmt.Println("repaired: bad records and torn bytes compacted away")
+	case rep.Damaged():
+		return errors.New("fsck: store is damaged (rerun with -repair to compact the damage away)")
+	}
+	return nil
 }
 
 func cmdClient(cmd string, args []string) error {

@@ -293,6 +293,18 @@ func (s *Server) runSweep(ctx context.Context, j *job) ([]experiments.PointResul
 	})
 }
 
+// jobID returns the {id} path value, answering 404 unless it is a
+// content address: an ID names store entries, so it must never be able
+// to name anything else, and no sweep has a malformed ID.
+func jobID(w http.ResponseWriter, r *http.Request) (string, bool) {
+	id := r.PathValue("id")
+	if !sweepstore.ValidKey(id) {
+		writeError(w, http.StatusNotFound, "no sweep %q: sweep IDs are 64 lowercase hex digits", id)
+		return "", false
+	}
+	return id, true
+}
+
 func (s *Server) jobByID(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,7 +312,10 @@ func (s *Server) jobByID(id string) *job {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+	id, ok := jobID(w, r)
+	if !ok {
+		return
+	}
 	if j := s.jobByID(id); j != nil {
 		writeJSON(w, http.StatusOK, j.snapshot())
 		return
@@ -332,7 +347,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+	id, ok := jobID(w, r)
+	if !ok {
+		return
+	}
 	if j := s.jobByID(id); j != nil {
 		st := j.snapshot()
 		switch st.State {
@@ -360,7 +378,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+	id, ok := jobID(w, r)
+	if !ok {
+		return
+	}
 	s.mu.Lock()
 	if j, ok := s.jobs[id]; ok && j.running() {
 		s.mu.Unlock()
@@ -386,7 +407,10 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+	id, ok := jobID(w, r)
+	if !ok {
+		return
+	}
 	j := s.jobByID(id)
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no live job for sweep %s (resume it to stream progress)", id)

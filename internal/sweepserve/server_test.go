@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,7 +43,13 @@ func newTestServer(t *testing.T, dir string, workers int) (*Server, *httptest.Se
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	t.Cleanup(func() { ts.Close(); srv.Close() })
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	return srv, ts
 }
 
@@ -146,7 +154,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	_, ts := newTestServer(t, dir, 4)
+	srv, ts := newTestServer(t, dir, 4)
 	st := submit(t, ts.URL, spec)
 	if st.ID == "" || st.Shards.Total != spec.NumShards() {
 		t.Fatalf("submit status: %+v", st)
@@ -218,8 +226,13 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// "Restart": a fresh server over the same store. The result is
 	// immediately servable, status reports the checkpointed job, and
-	// resume replays it without recomputation.
+	// resume replays it without recomputation. The first server's store
+	// is closed first: one process, one Store per directory.
 	ts.Close()
+	srv.Close()
+	if err := srv.store.Close(); err != nil {
+		t.Fatal(err)
+	}
 	_, ts2 := newTestServer(t, dir, 2)
 	resp, err := http.Get(ts2.URL + "/v1/sweeps/" + id)
 	if err != nil {
@@ -356,6 +369,59 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("resume unknown: code %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServerRejectsMalformedIDs: a job ID from the URL names store
+// entries, so anything but 64 lowercase hex digits is refused on every
+// job route — in particular an escaped path that would read files
+// outside the store.
+func TestServerRejectsMalformedIDs(t *testing.T) {
+	base := t.TempDir()
+	outside := filepath.Join(base, "outside")
+	if err := os.MkdirAll(outside, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(testSpec().Normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{"spec.json": string(specJSON), "result.json": `[{"per":0.5}]`} {
+		if err := os.WriteFile(filepath.Join(outside, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, ts := newTestServer(t, filepath.Join(base, "store"), 1)
+	id, err := sweepstore.SpecKey(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{
+		"..%2F..%2Foutside",
+		strings.ToUpper(id),
+		id[:63],
+		id + "0",
+	} {
+		for _, rt := range []struct{ method, suffix string }{
+			{http.MethodGet, ""}, {http.MethodGet, "/result"},
+			{http.MethodGet, "/events"}, {http.MethodPost, "/resume"},
+		} {
+			req, err := http.NewRequest(rt.method, ts.URL+"/v1/sweeps/"+bad+rt.suffix, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er ErrorResponse
+			err = json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			if resp.StatusCode/100 != 4 || err != nil || !strings.Contains(er.Error, "64 lowercase hex digits") {
+				t.Errorf("%s %s%s: code %d, error %q (decode: %v), want a 4xx naming the ID format",
+					rt.method, bad, rt.suffix, resp.StatusCode, er.Error, err)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package sweepstore
 
 import (
 	"context"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -11,7 +10,7 @@ import (
 )
 
 // fakeShard writes a synthetic shard with a chosen access time and
-// returns its key and on-disk size. The keys sort by their numeric
+// returns its key and record size. The keys sort by their numeric
 // suffix only by accident; tests that need a tie-break order set equal
 // atimes explicitly.
 func fakeShard(t *testing.T, st *Store, i int, atime time.Time) (string, int64) {
@@ -27,19 +26,47 @@ func fakeShard(t *testing.T, st *Store, i int, atime time.Time) (string, int64) 
 	if err := st.PutShard(key, int64(1000+i), runs); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(st.shardPath(key))
-	if err != nil {
-		t.Fatal(err)
+	setAccessTime(t, st, key, atime)
+	return key, shardSize(t, st, key)
+}
+
+// indexed returns the index entry of shard key.
+func indexed(st *Store, key string) (loc, bool) {
+	d, _ := parseDigest(key)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	l, ok := st.index[ikey{kindShard, d}]
+	return l, ok
+}
+
+// setAccessTime sets an indexed shard's access time, as if its last hit
+// had happened at atime.
+func setAccessTime(t *testing.T, st *Store, key string, atime time.Time) {
+	t.Helper()
+	l, ok := indexed(st, key)
+	if !ok {
+		t.Fatalf("shard %s is not in the store", key)
 	}
-	if err := os.Chtimes(st.shardPath(key), atime, atime); err != nil {
-		t.Fatal(err)
+	l.atime = atime.UnixNano()
+	d, _ := parseDigest(key)
+	st.mu.Lock()
+	st.index[ikey{kindShard, d}] = l
+	st.mu.Unlock()
+}
+
+// shardSize is the size of a shard's record in its segment.
+func shardSize(t *testing.T, st *Store, key string) int64 {
+	t.Helper()
+	l, ok := indexed(st, key)
+	if !ok {
+		t.Fatalf("shard %s is not in the store", key)
 	}
-	return key, fi.Size()
+	return l.n
 }
 
 func shardOnDisk(st *Store, key string) bool {
-	_, err := os.Stat(st.shardPath(key))
-	return err == nil
+	_, ok := indexed(st, key)
+	return ok
 }
 
 // TestGCPinsSurvive: a GC to zero evicts every shard but never the
@@ -144,11 +171,7 @@ func TestGCDeterministicLRU(t *testing.T) {
 		lo, hi = kB, kA
 	}
 	_ = szA
-	fiLo, err := os.Stat(st2.shardPath(lo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := st2.GC(st2.Stats().ShardBytes - fiLo.Size())
+	res2, err := st2.GC(st2.Stats().ShardBytes - shardSize(t, st2, lo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,26 +237,19 @@ func TestGCResumeRecomputesOnlyEvicted(t *testing.T) {
 	// Age shard i by its index so eviction order is the shard order, then
 	// evict roughly half.
 	base := time.Now().Add(-time.Duration(n+1) * time.Hour)
-	var paths []string
+	var keys []string
 	for i := 0; i < n; i++ {
 		key, err := ShardKey(spec.ShardConfig(spec.Shard(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths = append(paths, st.shardPath(key))
-		at := base.Add(time.Duration(i) * time.Hour)
-		if err := os.Chtimes(paths[i], at, at); err != nil {
-			t.Fatal(err)
-		}
+		keys = append(keys, key)
+		setAccessTime(t, st, key, base.Add(time.Duration(i)*time.Hour))
 	}
 	var keep int64
 	evict := n / 2
 	for i := evict; i < n; i++ {
-		fi, err := os.Stat(paths[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		keep += fi.Size()
+		keep += shardSize(t, st, keys[i])
 	}
 	res, err := st.GC(keep)
 	if err != nil {
@@ -294,6 +310,9 @@ func TestAutoGCEnforcesBound(t *testing.T) {
 	}
 
 	// A reopened store rescans to the post-GC footprint.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 	st2, err := Open(st.Root())
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package sweepstore
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -144,15 +145,33 @@ func TestShardRoundTrip(t *testing.T) {
 	if _, ok := st.GetShard(key, 1, 5); ok {
 		t.Error("hit with wrong shot count")
 	}
-	if err := os.WriteFile(st.shardPath(key), []byte("{corrupt"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipShardByte(t, st, key)
 	if _, ok := st.GetShard(key, 2, 5); ok {
 		t.Error("hit on corrupt payload")
 	}
 	stats := st.Stats()
 	if stats.ShardWrites != 1 || stats.ShardHits != 1 || stats.ShardMisses != 4 {
 		t.Errorf("stats = %+v, want writes 1, hits 1, misses 4", stats)
+	}
+}
+
+// flipShardByte inverts the last body byte of key's record on disk.
+func flipShardByte(t *testing.T, st *Store, key string) {
+	t.Helper()
+	l, _ := indexed(st, key)
+	f, err := os.OpenFile(st.segmentPath(l.seg.seq), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	at := l.off + l.n - crcBytes - 1
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, at); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -201,7 +220,11 @@ func TestSpecAndResultRoundTrip(t *testing.T) {
 // config-hash version must be refused, not silently reused.
 func TestOpenRejectsForeignVersion(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Open(dir); err != nil {
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "VERSION"), []byte("pf-sweep-v0\n"), 0o644); err != nil {
@@ -622,4 +645,129 @@ func TestSteaneNeverSharesKeysWithSC17(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dataFiles lists the files under a store root that hold entries: all
+// but the VERSION stamp and the LOCK file.
+func dataFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || d.Name() == "VERSION" || d.Name() == "LOCK" {
+			return err
+		}
+		files = append(files, path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// eachFlip calls check for every one-bit flip of every byte of the
+// data files of the store at pristine, twice, each time on a fresh copy:
+// on a Store opened before the flip, and on one opened after it.
+func eachFlip(t *testing.T, pristine string, check func(st *Store, what string)) {
+	t.Helper()
+	flips := 0
+	for _, path := range dataFiles(t, pristine) {
+		rel, err := filepath.Rel(pristine, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := bytes.Clone(orig)
+		for i := range orig {
+			flips++
+			b[i] ^= 1
+			for _, reopen := range []bool{false, true} {
+				dir := t.TempDir()
+				copyTree(t, pristine, dir)
+				st := mustOpen(t, dir)
+				if err := os.WriteFile(filepath.Join(dir, rel), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("%s byte %d flipped under an open store", rel, i)
+				if reopen {
+					mustClose(t, st)
+					st = mustOpen(t, dir)
+					what = fmt.Sprintf("%s byte %d flipped, then reopened", rel, i)
+				}
+				check(st, what)
+				mustClose(t, st)
+			}
+			b[i] ^= 1
+		}
+	}
+	if flips == 0 {
+		t.Fatal("the store holds no data files to damage")
+	}
+}
+
+// TestCorruptionIsNeverAHit flips every byte of a stored shard and of a
+// stored result pin, one at a time, both under an open store and across
+// a reopen. A damaged shard must be a miss that RunCached recomputes to
+// identical fold bytes; a damaged pin must be an error or not found,
+// never different points.
+func TestCorruptionIsNeverAHit(t *testing.T) {
+	spec := experiments.Spec{Engine: "stack", PERs: []float64{5e-3}, Samples: 1,
+		ErrorType: "x", MaxLogicalErrors: 2, MaxWindows: 200, BaseSeed: 7}
+	cfg, err := spec.SweepConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 1
+	sh := spec.Shard(0)
+	key, err := ShardKey(spec.ShardConfig(sh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := t.TempDir()
+	st := mustOpen(t, pristine)
+	pts, err := RunCached(context.Background(), st, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, ok := st.GetShard(key, sh.Count, sh.Seed)
+	if !ok {
+		t.Fatal("shard missed before any damage")
+	}
+	mustClose(t, st)
+	eachFlip(t, pristine, func(st *Store, what string) {
+		if runs, ok := st.GetShard(key, sh.Count, sh.Seed); ok {
+			t.Errorf("%s: hit %+v (stored %+v)", what, runs, stored)
+		}
+		got, err := RunCached(context.Background(), st, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob, err := json.Marshal(got); err != nil || !bytes.Equal(blob, want) {
+			t.Errorf("%s: recomputed fold %s, want %s", what, blob, want)
+		}
+	})
+
+	// A result pin, alone in its store.
+	pinned := t.TempDir()
+	st = mustOpen(t, pinned)
+	id, err := SpecKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutResult(id, pts); err != nil {
+		t.Fatal(err)
+	}
+	mustClose(t, st)
+	eachFlip(t, pinned, func(st *Store, what string) {
+		if got, ok, err := st.GetResult(id); err == nil && ok && !reflect.DeepEqual(got, pts) {
+			t.Errorf("%s: GetResult served %+v, want %+v or an error", what, got, pts)
+		}
+	})
 }
