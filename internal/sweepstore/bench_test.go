@@ -1,7 +1,12 @@
 package sweepstore
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 )
@@ -87,5 +92,100 @@ func BenchmarkSweepStoreHit(b *testing.B) {
 		if _, ok := st.GetShard(key, 1, sc.Seed); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// BenchmarkGCBoundArmed measures a store whose size bound is armed at
+// its footprint: n shards of 64 runs each (about 1.3 KB per record, the
+// size sweepd-extend shards take), puts continuing at the bound while a
+// reader hits a cached shard every 100 µs. One op is one put. pass_ms is
+// the mean duration of a put that ran an auto-GC pass, puts/pass the
+// number of puts per pass, and get_p50_us / get_max_ms the reader's
+// GetShard latencies: a pass holds the store mutex, so the longest read
+// is one that waited out a pass.
+func BenchmarkGCBoundArmed(b *testing.B) {
+	for _, n := range []int{4000, 40000} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			st, err := Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			rng := rand.New(rand.NewSource(1))
+			runs := make([]experiments.LERResult, 64)
+			for i := range runs {
+				runs[i] = experiments.LERResult{Windows: 1000 + rng.Intn(4000), LogicalErrors: rng.Intn(6),
+					CorrectionGates: rng.Intn(3000), CorrectionSlots: rng.Intn(1000),
+					OpsIssued: 100000 + rng.Intn(400000), SlotsIssued: 10000 + rng.Intn(40000),
+					OpsExecuted: 100000 + rng.Intn(400000), SlotsExecuted: 10000 + rng.Intn(40000),
+					InjectedErrors: rng.Intn(500)}
+			}
+			key := func(i int) string {
+				k, err := ShardKey(experiments.ShardConfig{Engine: "stack", PER: 1e-3, ErrorType: "x",
+					MaxLogicalErrors: 4, MaxWindows: 5000, Seed: int64(i), Shots: len(runs)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return k
+			}
+			keys := make([]string, n+b.N)
+			for i := range keys {
+				keys[i] = key(i)
+			}
+			for i := 0; i < n; i++ {
+				if err := st.PutShard(keys[i], int64(i), runs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			st.SetMaxBytes(st.Stats().ShardBytes)
+
+			stop := make(chan struct{})
+			var lat []time.Duration
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(2))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					i := rng.Intn(n)
+					t0 := time.Now()
+					st.GetShard(keys[i], len(runs), int64(i))
+					lat = append(lat, time.Since(t0))
+					time.Sleep(100 * time.Microsecond)
+				}
+			}()
+			var passTime time.Duration
+			putPasses := 0
+			gcRuns := st.Stats().GCRuns
+			b.ResetTimer()
+			for i := n; i < n+b.N; i++ {
+				t0 := time.Now()
+				if err := st.PutShard(keys[i], int64(i), runs); err != nil {
+					b.Fatal(err)
+				}
+				if r := st.Stats().GCRuns; r > gcRuns {
+					passTime += time.Since(t0)
+					putPasses++
+					gcRuns = r
+				}
+			}
+			b.StopTimer()
+			close(stop)
+			wg.Wait()
+			if putPasses > 0 {
+				b.ReportMetric(float64(passTime.Microseconds())/1e3/float64(putPasses), "pass_ms")
+				b.ReportMetric(float64(b.N)/float64(st.Stats().GCRuns), "puts/pass")
+			}
+			if len(lat) > 0 {
+				slices.Sort(lat)
+				b.ReportMetric(float64(lat[len(lat)/2].Microseconds()), "get_p50_us")
+				b.ReportMetric(float64(lat[len(lat)-1].Microseconds())/1e3, "get_max_ms")
+			}
+		})
 	}
 }
