@@ -56,6 +56,10 @@ import (
 	"repro/internal/sweepstore"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin connections.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -153,7 +157,7 @@ func cmdServe(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -255,7 +259,7 @@ func cmdWorker(args []string) (err error) {
 		st.SetMaxBytes(*maxBytes)
 		wopt.Store = st
 	}
-	hs := &http.Server{Addr: *addr, Handler: sweepserve.NewWorker(wopt)}
+	hs := &http.Server{Addr: *addr, Handler: sweepserve.NewWorker(wopt), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

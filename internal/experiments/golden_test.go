@@ -120,8 +120,9 @@ func TestGoldenGenericSweep(t *testing.T) {
 // SHA-256 of json.Marshal of the folded []PointResult for small seeded
 // sweeps on the dense engine (1 and 8 lanes, with and without the Pauli
 // frame, both observables), on the sparse engine below threshold where
-// the quiet-window skip carries the run, and on one adaptive sparse
-// sweep. Any change to the RNG draw order, the decode, the window loop
+// the quiet-window skip carries the run, on the sparse engine above
+// threshold where most rounds execute every gate, and on one adaptive
+// sparse sweep. Any change to the RNG draw order, the decode, the window loop
 // or the shot accounting shows up here. Regenerate only with a
 // deliberate semantic change, and say so in the change log.
 func TestGoldenFrameSweep(t *testing.T) {
@@ -151,6 +152,14 @@ func TestGoldenFrameSweep(t *testing.T) {
 			Lanes:            lanes,
 		}
 	}
+	// Above threshold the sparse engine's frames stay dirty across most
+	// of a round, so these pin its walk where the errors are dense.
+	sparseAbove := func(lanes int, pf bool, et ErrorType, seed int64) SweepConfig {
+		cfg := dense(lanes, pf, et, seed)
+		cfg.Engine = EngineSparse
+		cfg.PERs = []float64{2e-3, 8e-3}
+		return cfg
+	}
 	adaptive := SweepConfig{
 		Engine:           EngineSparse,
 		PERs:             []float64{1e-4, 4e-3},
@@ -174,6 +183,10 @@ func TestGoldenFrameSweep(t *testing.T) {
 		{"sparse/lanes1/pf-on/x", sparse(1, true, LogicalX, 9105), "16f5831cf1d5b0508ca60ea426d7a160a9ab651c6050a8025dc4881f3c304ba4"},
 		{"sparse/lanes2/pf-off/z", sparse(2, false, LogicalZ, 9106), "66f40274eb23437cee96a29711bcf37de85005f9b60a09ce9d8dd61253522550"},
 		{"sparse/adaptive", adaptive, "d5147b7c4f5bc95b66c653534517d2e12337a0b9b7331ecc9171691132bd3cd8"},
+		{"sparse-above/lanes1/pf-off/x", sparseAbove(1, false, LogicalX, 9107), "7303265cf8e8f711b3392402585aabfa6bcd7b5c54b7808a5a63def190dab99f"},
+		{"sparse-above/lanes1/pf-on/z", sparseAbove(1, true, LogicalZ, 9108), "b0df112d91b1d2e3f134ac7e139beed100dc67febd51fb8f4d0f6fddbaba99dc"},
+		{"sparse-above/lanes8/pf-on/x", sparseAbove(8, true, LogicalX, 9109), "889467ae2e2b1b3a4fb0f3f9af94f50a0f80bc196ce0c28c17866a2ad83792b5"},
+		{"sparse-above/lanes8/pf-off/z", sparseAbove(8, false, LogicalZ, 9110), "3bb995ba71e5a421256324b6416a6045120dd9b4898993799bcacdd6c67d2160"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -91,6 +92,35 @@ func TestSpecValidate(t *testing.T) {
 		}
 		if got := SpecOf(cfg); !reflect.DeepEqual(got.Normalized(), good.Normalized()) {
 			t.Errorf("Spec → SweepConfig → Spec drifted: %+v", got)
+		}
+	}
+}
+
+// TestSpecShardCap: Validate accepts a spec at exactly MaxShards shards
+// and rejects one shard more, on the stack and frame engines, including
+// sample counts whose shard arithmetic would overflow.
+func TestSpecShardCap(t *testing.T) {
+	good := []Spec{
+		{Engine: EngineNameStack, PERs: []float64{1e-3}, Samples: MaxShards},
+		{Engine: EngineNameStack, PERs: []float64{1e-3, 2e-3}, Samples: MaxShards / 2},
+		{Engine: EngineNameFrameSim, PERs: []float64{1e-3}, Samples: 64 * MaxShards},
+		{Engine: EngineNameSparse, PERs: []float64{1e-3}, Samples: 512 * MaxShards, Lanes: 8},
+	}
+	for i, s := range good {
+		if err := s.Normalized().Validate(); err != nil {
+			t.Errorf("spec %d at the cap rejected: %v", i, err)
+		}
+	}
+	bad := []Spec{
+		{Engine: EngineNameStack, PERs: []float64{1e-3}, Samples: MaxShards + 1},
+		{Engine: EngineNameStack, PERs: []float64{1e-3, 2e-3}, Samples: MaxShards/2 + 1},
+		{Engine: EngineNameFrameSim, PERs: []float64{1e-3}, Samples: 64*MaxShards + 1},
+		{Engine: EngineNameFrameSim, PERs: []float64{1e-3}, Samples: 1125899906842624},
+		{Engine: EngineNameSparse, PERs: []float64{1e-3}, Samples: math.MaxInt, Lanes: 8},
+	}
+	for i, s := range bad {
+		if err := s.Normalized().Validate(); err == nil {
+			t.Errorf("spec %d over the cap validated: %d shards", i, s.NumShards())
 		}
 	}
 }

@@ -23,6 +23,13 @@ const (
 // field at all.
 const CodeNameSteane = "steane"
 
+// MaxShards caps the shard count of a spec. Every run sizes its
+// per-shard slices up front, so an unbounded count lets one request
+// exhaust memory. The cap sits far above every sweep the repository
+// documents: the largest, EXPERIMENTS.md's thesis-scale lersweep (100
+// points of 10 stack samples), has 1 000 shards.
+const MaxShards = 1 << 20
+
 // Spec is the serializable form of a SweepConfig: the pure inputs of a
 // sweep, with the runtime-only fields (Workers, Progress) stripped.
 // Results are a pure function of a normalized Spec — same Spec, same
@@ -221,6 +228,9 @@ func (s Spec) Validate() error {
 	if s.Lanes > 0 && !s.batchEngine() {
 		return fmt.Errorf("spec: lanes apply to the frame engines only, not %q", s.Engine)
 	}
+	if spp := s.shardsPerPoint(); spp > MaxShards/len(s.PERs) {
+		return fmt.Errorf("spec: %d PER points of %d shards each exceed the cap of %d shards", len(s.PERs), spp, MaxShards)
+	}
 	if math.IsNaN(s.AdaptRelWidth) || math.IsInf(s.AdaptRelWidth, 0) || s.AdaptRelWidth < 0 {
 		return fmt.Errorf("spec: adapt_rel_width is %v, want a finite value >= 0", s.AdaptRelWidth)
 	}
@@ -255,8 +265,13 @@ type Shard struct {
 // into. It expects a Normalized spec.
 func (s Spec) shardsPerPoint() int {
 	if s.batchEngine() {
+		// Rounds up without overflowing near the top of the int range.
 		span := 64 * s.lanes()
-		return (s.Samples + span - 1) / span
+		n := s.Samples / span
+		if s.Samples%span != 0 {
+			n++
+		}
+		return n
 	}
 	return s.Samples
 }

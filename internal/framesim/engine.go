@@ -93,11 +93,6 @@ type Config struct {
 	// is required to be deterministic (New errors out otherwise), so the
 	// results do not depend on this value.
 	RefSeed int64
-	// DenseThreshold is the dirty-qubit population at which the sparse
-	// engine (NewSparse) abandons event-driven propagation for the rest
-	// of the current tape and drains it with the dense word kernels
-	// (default 8). The dense engine ignores it.
-	DenseThreshold int
 }
 
 func (c Config) withDefaults() Config {
@@ -558,13 +553,12 @@ type runState struct {
 	active []uint64
 	inj    []int
 
-	// The sparse walker's state (width-1 runs only): dirty has bit q set
-	// iff qubit q's planes may be nonzero; sc/mc/pc count the sites each
-	// channel has consumed in the current tape; hits is the scripted
-	// walk's hit list.
-	dirty      uint64
+	// The sparse walker's state (width-1 runs only): sc/mc/pc count the
+	// sites each channel has consumed in the current tape; hits is the
+	// scripted walk's hit list and hit the index of its next entry.
 	sc, mc, pc int
 	hits       []scriptHit
+	hit        int
 }
 
 // checkWide validates a wide batch request: 1..MaxLanes seed words, and

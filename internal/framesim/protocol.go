@@ -5,7 +5,7 @@
 // lane bookkeeping, and one window loop with its batch and scripted entry
 // points, the quiet-window skip, the noiseless diagnostic-and-probe step
 // that closes every window, and the shot accounting. Only the decode, the
-// per-window traces and the sparse engine's event-driven tape walker stay
+// per-window traces and the sparse engine's gate-list tape walker stay
 // engine-specific (windowCode).
 
 package framesim

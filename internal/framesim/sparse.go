@@ -1,18 +1,15 @@
 // The sparse Pauli-frame engine: the SC17 windows protocol with a tape
-// walker whose cost scales with the number of *errors*, not with the
-// circuit. Below pseudo-threshold almost every shot-word is the identity
-// frame almost all the time, so the dense walker burns its cycles
-// swapping and XORing zero words. This walker tracks the set of qubits
-// whose X/Z planes are nonzero (a uint64 population mask — SC17 has 17
-// physical qubits) and
-//
-//   - inside a dirty tape, walks only the "events": gate ops touching a
-//     dirty qubit and error sites where a sampler lands a hit, skipping
-//     every noiseless span in between without touching frame state;
-//   - falls back to the dense word-parallel kernels for the rest of a
-//     tape when the dirty population crosses DenseThreshold, so above
-//     threshold the engine degrades to dense speed instead of event-walk
-//     overhead.
+// walker whose cost scales with the gates and the *errors*, not with the
+// error sites. Below pseudo-threshold almost every shot-word is the
+// identity frame almost all the time, so the dense walker burns its
+// cycles drawing samples over error sites that never fire. This walker
+// runs only the tape's frame-changing ops — Cliffords, Prep and Meas, 48
+// of the 160 ops of an SC17 ESM round — with single-word kernels, and
+// before each of them applies every hit whose site comes earlier in the
+// tape. The channel samplers jump straight from hit to hit, so the 112
+// error sites of a round cost nothing unless one of them fires, and a
+// round that starts from a zero frame with no hit ahead is skipped
+// outright.
 //
 // Everything else is the shared window loop (protocol.go) with the SC17
 // Engine's decode. The engine canonicalizes clean lanes, which returns
@@ -22,39 +19,35 @@
 
 package framesim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
-// defaultDenseThreshold is the dirty-qubit population at which a tape
-// drains densely when Config.DenseThreshold is unset.
-const defaultDenseThreshold = 8
-
-// chanSite is one error site of a channel in trial-stream order.
-type chanSite struct {
-	op int32 // tape op index
-	a  int32 // operand qubit
-	b  int32 // second operand (correlated pair sites only, else -1)
+// gateOp is one frame-changing op of a tape: a Clifford, a Prep or a
+// Meas (for which b is the measurement site).
+type gateOp struct {
+	op   int32 // tape op index
+	code opcode
+	a, b int32
 }
 
-// sparseTape indexes one compiled tape for event-driven execution.
+// sparseTape indexes one compiled tape for the gate-list walk.
 type sparseTape struct {
 	t *Tape
 
-	// Per-channel error sites in tape (= trial stream) order. With the
-	// uncorrelated model a pair op contributes two consecutive entries to
-	// single (operand a, then b); with the correlated model one to pairs.
-	single, meas, pairs []chanSite
+	// gates lists the tape's frame-changing ops in tape order. Error
+	// sites and reference-only Paulis are absent. gateFrom[i] is the
+	// index of the first gate at or after tape op i.
+	gates    []gateOp
+	gateFrom []int32
 
-	// qubitOps[q] lists (ascending) the op indices that must execute when
-	// qubit q's planes are nonzero: Cliffords touching q plus q's
-	// Prep/Meas. Error sites and reference-only Paulis are absent.
-	qubitOps [][]int32
+	// Per-channel error sites in tape (= trial stream) order, as tape op
+	// indices. With the uncorrelated model a pair op contributes two
+	// consecutive entries to single (operand a's site, then b's); with
+	// the correlated model one to pairs.
+	single, meas, pairs []int32
 
 	// singleOrd/measOrd/pairOrd map an op index to the ordinal of its
 	// first site in the channel list (-1 elsewhere), aligning channel
-	// cursors when execution jumps into the middle of the tape.
+	// cursors when the walk jumps over sites without a hit.
 	singleOrd, measOrd, pairOrd []int32
 }
 
@@ -68,7 +61,6 @@ type scriptHit struct {
 func indexTape(t *Tape, corrPair bool) *sparseTape {
 	ti := &sparseTape{
 		t:         t,
-		qubitOps:  make([][]int32, t.n),
 		singleOrd: make([]int32, len(t.ops)),
 		measOrd:   make([]int32, len(t.ops)),
 		pairOrd:   make([]int32, len(t.ops)),
@@ -76,34 +68,28 @@ func indexTape(t *Tape, corrPair bool) *sparseTape {
 	for i := range ti.singleOrd {
 		ti.singleOrd[i], ti.measOrd[i], ti.pairOrd[i] = -1, -1, -1
 	}
-	addQ := func(q int32, i int) {
-		ti.qubitOps[q] = append(ti.qubitOps[q], int32(i))
-	}
 	for i := range t.ops {
 		op := &t.ops[i]
+		ti.gateFrom = append(ti.gateFrom, int32(len(ti.gates)))
 		switch op.code {
-		case opH, opS, opSdg, opPrep, opMeas:
-			addQ(op.a, i)
-		case opCNOT, opCZ, opSWAP:
-			addQ(op.a, i)
-			addQ(op.b, i)
+		case opH, opS, opSdg, opCNOT, opCZ, opSWAP, opPrep, opMeas:
+			ti.gates = append(ti.gates, gateOp{op: int32(i), code: op.code, a: op.a, b: op.b})
 		case opX, opY, opZ:
 			// Reference-only: the frame commutes through.
 		case opErrSingle:
 			ti.singleOrd[i] = int32(len(ti.single))
-			ti.single = append(ti.single, chanSite{op: int32(i), a: op.a, b: -1})
+			ti.single = append(ti.single, int32(i))
 		case opErrMeas:
 			ti.measOrd[i] = int32(len(ti.meas))
-			ti.meas = append(ti.meas, chanSite{op: int32(i), a: op.a, b: -1})
+			ti.meas = append(ti.meas, int32(i))
 		case opErrPair:
 			if corrPair {
 				ti.pairOrd[i] = int32(len(ti.pairs))
-				ti.pairs = append(ti.pairs, chanSite{op: int32(i), a: op.a, b: op.b})
+				ti.pairs = append(ti.pairs, int32(i))
 			} else {
 				// Uncorrelated model: operand a's site word, then b's.
 				ti.singleOrd[i] = int32(len(ti.single))
-				ti.single = append(ti.single, chanSite{op: int32(i), a: op.a, b: -1})
-				ti.single = append(ti.single, chanSite{op: int32(i), a: op.b, b: -1})
+				ti.single = append(ti.single, int32(i), int32(i))
 			}
 		}
 	}
@@ -112,41 +98,31 @@ func indexTape(t *Tape, corrPair bool) *sparseTape {
 
 // Sparse is the sparse-mode engine: the SC17 Engine — tapes, reference
 // outcomes, decoder tables and the shared window loop — with the
-// event-driven walker in place of the dense one for the noisy ESM rounds,
+// gate-list walker in place of the dense one for the noisy ESM rounds,
 // canonicalization of clean lanes and the quiet-window skip on. Like
 // Engine, one Sparse may serve many goroutines concurrently.
 type Sparse struct {
 	Engine
 	esmT *sparseTape
-
-	threshold int
 }
 
 // NewSparse compiles the sparse engine for one configuration. It demands
-// what the skip algebra needs: at most 64 qubits (the dirty set is one
-// word) and all-zero reference outcomes on both tapes (a zero frame then
-// yields zero syndromes and a zero probe, so an all-clean window is pure
-// trial-stream consumption).
+// what the skip algebra needs: all-zero reference outcomes on both tapes
+// (a zero frame then yields zero syndromes and a zero probe, so an
+// all-clean window is pure trial-stream consumption).
 func NewSparse(cfg Config) (*Sparse, error) {
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if e.n > 64 {
-		return nil, fmt.Errorf("framesim: sparse engine supports at most 64 qubits, protocol uses %d", e.n)
-	}
 	if !e.zeroRefs() {
 		return nil, fmt.Errorf("framesim: sparse engine needs all-zero ESM and probe reference outcomes")
 	}
 	s := &Sparse{
-		Engine:    *e,
-		esmT:      indexTape(e.esm, e.corrPair),
-		threshold: cfg.DenseThreshold,
+		Engine: *e,
+		esmT:   indexTape(e.esm, e.corrPair),
 	}
 	s.canon = true
-	if s.threshold <= 0 {
-		s.threshold = defaultDenseThreshold
-	}
 	return s, nil
 }
 
@@ -163,11 +139,11 @@ func (s *Sparse) RunBatch(seed int64, shots int) ([]ShotResult, error) {
 
 // RunBatchWide runs up to 64·len(seeds) shots as len(seeds) independent
 // width-1 word runs, one per seed, concatenating the per-word results.
-// The event-driven walker gains nothing from interleaving words (its
-// cost is dominated by per-hit work, not the tape walk), so the wide
-// entry point exists for engine-interchangeability: the result slice is
-// bit-identical to len(seeds) RunBatch calls — and hence to the dense
-// engine's lane-extraction contract for the word seeds.
+// The gate-list walk runs one word at a time (its per-hit sampling and
+// its zero-frame skips are per word), so the wide entry point exists for
+// engine-interchangeability: the result slice is bit-identical to
+// len(seeds) RunBatch calls — and hence to the dense engine's
+// lane-extraction contract for the word seeds.
 func (s *Sparse) RunBatchWide(seeds []int64, shots int) ([]ShotResult, error) {
 	if err := checkWide(seeds, shots); err != nil {
 		return nil, err
@@ -189,117 +165,144 @@ func (s *Sparse) RunScripted(windows int, script Script) ([]WindowTrace, ShotRes
 	return runScripted(&s.protocol, s, windows, script, s.trace)
 }
 
-// esmRound runs one noisy ESM round through the event-driven walker. The
-// decode, the correction slot and diagnose write the planes without
-// tracking the dirty set, so the round first re-derives it.
+// esmRound runs one noisy ESM round through the gate-list walker.
 func (s *Sparse) esmRound(st *runState, out []uint64) {
-	st.findDirty()
 	s.runTape(st, s.esmT, s.refESM, true, out)
 }
 
-// findDirty re-derives the dirty set from the planes.
-//
-//qa:hotpath
-func (st *runState) findDirty() {
-	st.dirty = 0
-	for q := 0; q < st.b.n; q++ {
-		if st.b.fx[q]|st.b.fz[q] != 0 {
-			st.dirty |= uint64(1) << uint(q)
-		}
-	}
-}
-
-// refresh re-derives qubit q's dirty bit from its planes.
-//
-//qa:hotpath
-func (st *runState) refresh(q int) {
-	bit := uint64(1) << uint(q)
-	if st.b.fx[q]|st.b.fz[q] != 0 {
-		st.dirty |= bit
-	} else {
-		st.dirty &^= bit
-	}
-}
-
-// runTape propagates the frames through one tape, visiting only the
-// events that can matter: gate ops on dirty qubits and error sites where
-// a gap sampler lands a hit. Noiseless spans in between are skipped
-// without touching frame state. When the dirty population reaches the
-// density threshold the remainder of the tape drains densely.
+// runTape propagates the width-1 frame through one tape with the
+// gate-list walk. Its events are the channel samplers' hits in sampled
+// mode, the script's injections in scripted mode, and nothing in a
+// noiseless run. A sampled tape that starts from a zero frame starts the
+// walk at its first hit, because the gates before it act on zeros; with
+// no hit ahead it only consumes the tape's trial words.
 //
 //qa:hotpath
 func (s *Sparse) runTape(st *runState, ti *sparseTape, ref []uint64, noisy bool, out []uint64) {
 	copy(out, ref)
-	if noisy && st.script != nil {
-		//qa:allow hotpath scripted runs are single-shot diagnostics, cold by design
-		s.runTapeScripted(st, ti, ref, out)
-		return
-	}
-	if !noisy && st.dirty == 0 {
-		return
-	}
-	l := &st.lanes[0]
-	st.sc, st.mc, st.pc = 0, 0, 0
-	if noisy && st.dirty == 0 &&
-		l.single.siteOfNextHit() >= int64(len(ti.single)) &&
-		l.meas.siteOfNextHit() >= int64(len(ti.meas)) &&
-		l.pair.siteOfNextHit() >= int64(len(ti.pairs)) {
-		// Clean frames, no hit in this tape: consume the trial words and
-		// leave the reference outcomes untouched.
-		st.skipRest(ti)
-		return
-	}
-	var cur [64]int32
-	nops := len(ti.t.ops)
-	pos := 0
-	for pos < nops {
-		next := st.nextGateOp(ti, &cur, pos)
+	if !noisy || st.script != nil {
+		st.hits = st.hits[:0]
 		if noisy {
-			if h := l.single.siteOfNextHit() + int64(st.sc); h < int64(len(ti.single)) {
-				next = min(next, int(ti.single[h].op))
-			}
-			if h := l.meas.siteOfNextHit() + int64(st.mc); h < int64(len(ti.meas)) {
-				next = min(next, int(ti.meas[h].op))
-			}
-			if h := l.pair.siteOfNextHit() + int64(st.pc); h < int64(len(ti.pairs)) {
-				next = min(next, int(ti.pairs[h].op))
-			}
+			//qa:allow hotpath scripted runs are single-shot diagnostics, cold by design
+			s.collectHits(st, ti)
 		}
-		if next >= nops {
-			break
-		}
-		s.execOp(st, ti, ref, out, next)
-		pos = next + 1
-		if bits.OnesCount64(st.dirty) >= s.threshold {
-			s.drainDense(st, ti, ref, noisy, out, pos)
+		st.hit = 0
+		s.walk(st, ti, ref, out, st.nextScripted(len(ti.t.ops)), 0, false)
+		return
+	}
+	st.sc, st.mc, st.pc = 0, 0, 0
+	next, from := st.nextHit(ti), 0
+	if st.frameZero() {
+		if next == len(ti.t.ops) {
+			st.skipRest(ti)
 			return
 		}
+		from = int(ti.gateFrom[next])
 	}
-	if noisy {
-		st.skipRest(ti)
+	s.walk(st, ti, ref, out, next, from, true)
+	st.skipRest(ti)
+}
+
+// frameZero reports whether every frame plane is zero.
+//
+//qa:hotpath
+func (st *runState) frameZero() bool {
+	fx, fz := st.b.fx, st.b.fz[:len(st.b.fx)]
+	var or uint64
+	for i, x := range fx {
+		or |= x | fz[i]
+	}
+	return or == 0
+}
+
+// walk runs the gate list of ti on the width-1 frame. Before each gate it
+// applies every event whose site comes earlier in the tape: the channel
+// samplers' hits when sampled, the entries of st.hits otherwise; next is
+// the tape op of the first event. A gate on clean qubits only XORs
+// zeros, and every channel consumes its trial words in tape order, so
+// the walk is bit-identical to executing every op of the tape.
+//
+//qa:hotpath
+func (s *Sparse) walk(st *runState, ti *sparseTape, ref, out []uint64, next, from int, sampled bool) {
+	fx, fz := st.b.fx, st.b.fz
+	for i := from; i < len(ti.gates); i++ {
+		g := &ti.gates[i]
+		for next < int(g.op) {
+			next = s.event(st, ti, next, sampled)
+		}
+		a, b := g.a, g.b
+		switch g.code {
+		case opH:
+			fx[a], fz[a] = fz[a], fx[a]
+		case opS, opSdg:
+			fz[a] ^= fx[a]
+		case opCNOT:
+			fx[b] ^= fx[a]
+			fz[a] ^= fz[b]
+		case opCZ:
+			fz[b] ^= fx[a]
+			fz[a] ^= fx[b]
+		case opSWAP:
+			fx[a], fx[b] = fx[b], fx[a]
+			fz[a], fz[b] = fz[b], fz[a]
+		case opPrep:
+			fx[a], fz[a] = 0, 0
+		case opMeas:
+			out[b] = fx[a] ^ ref[b]
+		}
+	}
+	for next < len(ti.t.ops) {
+		next = s.event(st, ti, next, sampled)
 	}
 }
 
-// nextGateOp returns the first op at or after pos that touches a dirty
-// qubit, or the tape length. cur holds each qubit's cursor into
-// qubitOps; cursors only move forward within one tape walk.
+// event applies the event at tape op i and returns the op index of the
+// next one, or the tape length when none is left.
 //
 //qa:hotpath
-func (st *runState) nextGateOp(ti *sparseTape, cur *[64]int32, pos int) int {
+func (s *Sparse) event(st *runState, ti *sparseTape, i int, sampled bool) int {
+	if sampled {
+		s.sampleSite(st, ti, i)
+		return st.nextHit(ti)
+	}
+	h := &st.hits[st.hit]
+	st.hit++
+	s.applyScripted(st, int(h.a), h.pa)
+	if h.b >= 0 {
+		s.applyScripted(st, int(h.b), h.pb)
+	}
+	return st.nextScripted(len(ti.t.ops))
+}
+
+// nextHit returns the tape op index of the earliest site at which one of
+// the channel samplers lands its next hit, or the tape length when no
+// channel hits the rest of the tape.
+//
+//qa:hotpath
+func (st *runState) nextHit(ti *sparseTape) int {
+	l := &st.lanes[0]
 	next := len(ti.t.ops)
-	for m := st.dirty; m != 0; m &= m - 1 {
-		q := bits.TrailingZeros64(m)
-		ops := ti.qubitOps[q]
-		c := int(cur[q])
-		for c < len(ops) && int(ops[c]) < pos {
-			c++
-		}
-		cur[q] = int32(c)
-		if c < len(ops) && int(ops[c]) < next {
-			next = int(ops[c])
-		}
+	if h := l.single.siteOfNextHit() + int64(st.sc); h < int64(len(ti.single)) {
+		next = int(ti.single[h])
+	}
+	if h := l.meas.siteOfNextHit() + int64(st.mc); h < int64(len(ti.meas)) {
+		next = min(next, int(ti.meas[h]))
+	}
+	if h := l.pair.siteOfNextHit() + int64(st.pc); h < int64(len(ti.pairs)) {
+		next = min(next, int(ti.pairs[h]))
 	}
 	return next
+}
+
+// nextScripted returns the tape op index of the next unapplied scripted
+// hit, or nops when none is left.
+//
+//qa:hotpath
+func (st *runState) nextScripted(nops int) int {
+	if st.hit < len(st.hits) {
+		return int(st.hits[st.hit].op)
+	}
+	return nops
 }
 
 // skipRest consumes the trial words of every site of the tape the walk
@@ -311,49 +314,6 @@ func (st *runState) skipRest(ti *sparseTape) {
 	l.single.skipSites(len(ti.single) - st.sc)
 	l.meas.skipSites(len(ti.meas) - st.mc)
 	l.pair.skipSites(len(ti.pairs) - st.pc)
-}
-
-// execOp executes the single tape op at index i: a gate/prep/meas on a
-// dirty qubit, or an error site whose trial word contains a hit.
-//
-//qa:hotpath
-func (s *Sparse) execOp(st *runState, ti *sparseTape, ref []uint64, out []uint64, i int) {
-	b := st.b
-	op := &ti.t.ops[i]
-	a := int(op.a)
-	switch op.code {
-	case opH:
-		b.H(a)
-	case opS, opSdg:
-		b.S(a)
-	case opCNOT:
-		b.CNOT(a, int(op.b))
-		st.refresh(a)
-		st.refresh(int(op.b))
-	case opCZ:
-		b.CZ(a, int(op.b))
-		st.refresh(a)
-		st.refresh(int(op.b))
-	case opSWAP:
-		b.SWAP(a, int(op.b))
-		st.refresh(a)
-		st.refresh(int(op.b))
-	case opX, opY, opZ:
-		// Reference-only: never an event (absent from qubitOps).
-	case opPrep:
-		b.fx[a] = 0
-		b.fz[a] = 0
-		st.dirty &^= uint64(1) << uint(a)
-	case opMeas:
-		out[op.b] = b.fx[a] ^ ref[op.b]
-	case opErrMeas, opErrSingle:
-		s.sampleSite(st, ti, i)
-		st.refresh(a)
-	case opErrPair:
-		s.sampleSite(st, ti, i)
-		st.refresh(a)
-		st.refresh(int(op.b))
-	}
 }
 
 // sampleSite consumes the trial word(s) of error op i and applies their
@@ -425,54 +385,11 @@ func (s *Sparse) singleWord(st *runState, q int) {
 	sm.advanceWord()
 }
 
-// drainDense finishes the tape with the dense word kernels from op index
-// `from`: gates execute unconditionally, every remaining error site
-// consumes its trial word. The channel cursors align via the ord tables,
-// so the trial stream is identical to a pure event walk.
-//
-//qa:hotpath
-func (s *Sparse) drainDense(st *runState, ti *sparseTape, ref []uint64, noisy bool, out []uint64, from int) {
-	b := st.b
-	ops := ti.t.ops
-	for i := from; i < len(ops); i++ {
-		op := &ops[i]
-		a := int(op.a)
-		switch op.code {
-		case opH:
-			b.H(a)
-		case opS, opSdg:
-			b.S(a)
-		case opCNOT:
-			b.CNOT(a, int(op.b))
-		case opCZ:
-			b.CZ(a, int(op.b))
-		case opSWAP:
-			b.SWAP(a, int(op.b))
-		case opX, opY, opZ:
-		case opPrep:
-			b.fx[a] = 0
-			b.fz[a] = 0
-		case opMeas:
-			out[op.b] = b.fx[a] ^ ref[op.b]
-		case opErrMeas, opErrSingle, opErrPair:
-			if noisy {
-				s.sampleSite(st, ti, i)
-			}
-		}
-	}
-	if noisy {
-		st.skipRest(ti)
-	}
-	st.findDirty()
-}
-
-// runTapeScripted executes one noisy tape in scripted mode: the hit list
-// is collected by walking the tape's error ops in order (a deterministic
-// map *lookup* per site, never an iteration) and then merged with the
-// dirty-qubit gate events. Scripted runs are single-shot diagnostics —
+// collectHits fills st.hits with the current tape's scripted injections
+// by walking its error ops in order (a deterministic map *lookup* per
+// site, never an iteration). Scripted runs are single-shot diagnostics —
 // this path is cold and may allocate.
-func (s *Sparse) runTapeScripted(st *runState, ti *sparseTape, ref []uint64, out []uint64) {
-	st.hits = st.hits[:0]
+func (s *Sparse) collectHits(st *runState, ti *sparseTape) {
 	for i := range ti.t.ops {
 		op := &ti.t.ops[i]
 		switch op.code {
@@ -489,31 +406,5 @@ func (s *Sparse) runTapeScripted(st *runState, ti *sparseTape, ref []uint64, out
 				st.hits = append(st.hits, scriptHit{op: int32(i), a: op.a, b: op.b, pa: pp[0], pb: pp[1]})
 			}
 		}
-	}
-	var cur [64]int32
-	nops := len(ti.t.ops)
-	hi := 0
-	pos := 0
-	for pos < nops {
-		next := st.nextGateOp(ti, &cur, pos)
-		if hi < len(st.hits) && int(st.hits[hi].op) < next {
-			next = int(st.hits[hi].op)
-		}
-		if next >= nops {
-			break
-		}
-		if hi < len(st.hits) && int(st.hits[hi].op) == next {
-			h := &st.hits[hi]
-			hi++
-			s.applyScripted(st, int(h.a), h.pa)
-			st.refresh(int(h.a))
-			if h.b >= 0 {
-				s.applyScripted(st, int(h.b), h.pb)
-				st.refresh(int(h.b))
-			}
-		} else {
-			s.execOp(st, ti, ref, out, next)
-		}
-		pos = next + 1
 	}
 }

@@ -21,29 +21,27 @@ import (
 func TestSparseScriptedTraceEquality(t *testing.T) {
 	const windows = 24
 	for _, tc := range []struct {
-		name      string
-		obs       framesim.Observable
-		rule      decoder.Rule
-		density   float64
-		threshold int
-		seed      int64
+		name    string
+		obs     framesim.Observable
+		rule    decoder.Rule
+		density float64
+		seed    int64
 	}{
-		{"X/agreement/sparse", framesim.ObserveX, decoder.RuleAgreement, 0.004, 0, 1},
-		{"X/agreement/dense", framesim.ObserveX, decoder.RuleAgreement, 0.04, 0, 2},
-		{"Z/agreement/sparse", framesim.ObserveZ, decoder.RuleAgreement, 0.004, 0, 3},
-		{"Z/agreement/dense", framesim.ObserveZ, decoder.RuleAgreement, 0.04, 0, 4},
-		{"X/intersection", framesim.ObserveX, decoder.RuleIntersection, 0.02, 0, 5},
-		{"Z/intersection", framesim.ObserveZ, decoder.RuleIntersection, 0.02, 0, 6},
-		{"X/empty", framesim.ObserveX, decoder.RuleAgreement, 0, 0, 7},
-		{"X/drain-always", framesim.ObserveX, decoder.RuleAgreement, 0.04, 1, 8},
+		{"X/agreement/sparse", framesim.ObserveX, decoder.RuleAgreement, 0.004, 1},
+		{"X/agreement/dense", framesim.ObserveX, decoder.RuleAgreement, 0.04, 2},
+		{"Z/agreement/sparse", framesim.ObserveZ, decoder.RuleAgreement, 0.004, 3},
+		{"Z/agreement/dense", framesim.ObserveZ, decoder.RuleAgreement, 0.04, 4},
+		{"X/intersection", framesim.ObserveX, decoder.RuleIntersection, 0.02, 5},
+		{"Z/intersection", framesim.ObserveZ, decoder.RuleIntersection, 0.02, 6},
+		{"X/empty", framesim.ObserveX, decoder.RuleAgreement, 0, 7},
+		{"X/agreement/density-0.04", framesim.ObserveX, decoder.RuleAgreement, 0.04, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := framesim.Config{
-				Observable:     tc.obs,
-				DecoderRule:    tc.rule,
-				Model:          layers.Depolarizing(1e-3), // ignored: scripted
-				RefSeed:        7,
-				DenseThreshold: tc.threshold,
+				Observable:  tc.obs,
+				DecoderRule: tc.rule,
+				Model:       layers.Depolarizing(1e-3), // ignored: scripted
+				RefSeed:     7,
 			}
 			eng, err := framesim.New(cfg)
 			if err != nil {

@@ -39,16 +39,12 @@ func sparseScript(rng *rand.Rand, sites []Site, rounds int, density float64) Scr
 	return script
 }
 
-func requireEqualPlanes(t *testing.T, label string, span int, dense, sparse *Batch, dirty uint64) {
+func requireEqualPlanes(t *testing.T, label string, span int, dense, sparse *Batch) {
 	t.Helper()
 	for q := 0; q < dense.n; q++ {
 		if dense.fx[q] != sparse.fx[q] || dense.fz[q] != sparse.fz[q] {
 			t.Fatalf("%s span %d: qubit %d planes diverge: dense (%#x,%#x) sparse (%#x,%#x)",
 				label, span, q, dense.fx[q], dense.fz[q], sparse.fx[q], sparse.fz[q])
-		}
-		bit := uint64(1) << uint(q)
-		if got, want := dirty&bit != 0, sparse.fx[q]|sparse.fz[q] != 0; got != want {
-			t.Fatalf("%s span %d: qubit %d dirty bit %v, planes nonzero %v", label, span, q, got, want)
 		}
 	}
 }
@@ -58,73 +54,78 @@ func requireEqualPlanes(t *testing.T, label string, span int, dense, sparse *Bat
 // with noiseless diagnostic and probe spans, requiring bit-identical
 // frame planes and outcome words after every span — the strongest
 // statement of walker correctness, independent of the window plumbing.
-// The dirty mask is cross-checked against the planes at every span, and
-// low DenseThreshold values force the mid-tape dense drain.
 func TestSparseScriptedSpanEquality(t *testing.T) {
-	const rounds = 36
 	for _, tc := range []struct {
-		name      string
-		obs       Observable
-		density   float64
-		threshold int
-		seed      int64
+		name    string
+		obs     Observable
+		density float64
+		seed    int64
 	}{
-		{"X/empty", ObserveX, 0, 0, 1},
-		{"X/sparse", ObserveX, 0.004, 0, 2},
-		{"X/mid", ObserveX, 0.03, 0, 3},
-		{"X/dense", ObserveX, 0.15, 0, 4},
-		{"Z/sparse", ObserveZ, 0.004, 0, 5},
-		{"Z/dense", ObserveZ, 0.15, 0, 6},
-		{"X/drain-always", ObserveX, 0.03, 1, 7},
-		{"X/drain-early", ObserveX, 0.08, 2, 8},
+		{"X/empty", ObserveX, 0, 1},
+		{"X/sparse", ObserveX, 0.004, 2},
+		{"X/mid", ObserveX, 0.03, 3},
+		{"X/dense", ObserveX, 0.15, 4},
+		{"Z/sparse", ObserveZ, 0.004, 5},
+		{"Z/dense", ObserveZ, 0.15, 6},
+		{"X/density-0.03", ObserveX, 0.03, 7},
+		{"X/density-0.08", ObserveX, 0.08, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				Observable:     tc.obs,
-				Model:          layers.Depolarizing(1e-3), // ignored: scripted
-				RefSeed:        7,
-				DenseThreshold: tc.threshold,
-			}
-			e, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := NewSparse(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			script := sparseScript(rand.New(rand.NewSource(tc.seed)), e.ESMSites(), rounds, tc.density)
-			dst := e.newRunState([]int64{0}, script)
-			sst := s.newRunState([]int64{0}, script)
-			probeT := indexTape(e.probe, e.corrPair)
-			outD := make([]uint64, e.esm.NumMeas())
-			outS := make([]uint64, e.esm.NumMeas())
-			probeD := make([]uint64, e.probe.NumMeas())
-			probeS := make([]uint64, e.probe.NumMeas())
-			for r := 0; r < rounds; r++ {
-				e.runTape(dst, e.esm, e.refESM, true, outD)
-				s.runTape(sst, s.esmT, e.refESM, true, outS)
-				dst.round++
-				sst.round++
-				if !equalWords(outD, outS) {
-					t.Fatalf("noisy span %d: outcome words diverge", r)
-				}
-				requireEqualPlanes(t, "noisy", r, dst.b, sst.b, sst.dirty)
-				if r%3 == 2 {
-					e.runTape(dst, e.esm, e.refESM, false, outD)
-					s.runTape(sst, s.esmT, e.refESM, false, outS)
-					if !equalWords(outD, outS) {
-						t.Fatalf("diag span %d: outcome words diverge", r)
-					}
-					e.runTape(dst, e.probe, e.refProbe, false, probeD)
-					s.runTape(sst, probeT, e.refProbe, false, probeS)
-					if !equalWords(probeD, probeS) {
-						t.Fatalf("probe span %d: outcome words diverge", r)
-					}
-					requireEqualPlanes(t, "probe", r, dst.b, sst.b, sst.dirty)
-				}
-			}
+			checkScriptedSpans(t, tc.obs, tc.density, tc.seed)
 		})
+	}
+}
+
+// checkScriptedSpans runs 36 scripted noisy ESM spans of the given
+// per-site density on the dense and sparse executors, with a noiseless
+// diagnostic and probe span after every third, and fails on the first
+// span after which their planes or outcome words differ.
+func checkScriptedSpans(t *testing.T, obs Observable, density float64, seed int64) {
+	t.Helper()
+	const rounds = 36
+	cfg := Config{
+		Observable: obs,
+		Model:      layers.Depolarizing(1e-3), // ignored: scripted
+		RefSeed:    7,
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSparse(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := sparseScript(rand.New(rand.NewSource(seed)), e.ESMSites(), rounds, density)
+	dst := e.newRunState([]int64{0}, script)
+	sst := s.newRunState([]int64{0}, script)
+	probeT := indexTape(e.probe, e.corrPair)
+	outD := make([]uint64, e.esm.NumMeas())
+	outS := make([]uint64, e.esm.NumMeas())
+	probeD := make([]uint64, e.probe.NumMeas())
+	probeS := make([]uint64, e.probe.NumMeas())
+	for r := 0; r < rounds; r++ {
+		e.runTape(dst, e.esm, e.refESM, true, outD)
+		s.runTape(sst, s.esmT, e.refESM, true, outS)
+		dst.round++
+		sst.round++
+		if !equalWords(outD, outS) {
+			t.Fatalf("noisy span %d: outcome words diverge", r)
+		}
+		requireEqualPlanes(t, "noisy", r, dst.b, sst.b)
+		if r%3 == 2 {
+			e.runTape(dst, e.esm, e.refESM, false, outD)
+			s.runTape(sst, s.esmT, e.refESM, false, outS)
+			if !equalWords(outD, outS) {
+				t.Fatalf("diag span %d: outcome words diverge", r)
+			}
+			e.runTape(dst, e.probe, e.refProbe, false, probeD)
+			s.runTape(sst, probeT, e.refProbe, false, probeS)
+			if !equalWords(probeD, probeS) {
+				t.Fatalf("probe span %d: outcome words diverge", r)
+			}
+			requireEqualPlanes(t, "probe", r, dst.b, sst.b)
+		}
 	}
 }
 

@@ -44,9 +44,9 @@ type SteaneTrace struct {
 // two-round-agreement Hamming decode with corrections, then the
 // noiseless diagnostic round and probe shared with the SC17 protocol.
 // Sampled runs canonicalize clean lanes and so skip quiet windows
-// outright: the 13-qubit block is too small for the sparse SC17 engine's
-// event-driven walker to pay off, and the window-granular skip captures
-// the same low-p asymptotics.
+// outright, which captures the low-p asymptotics; the rounds that do
+// execute take the dense fused walk over all lane words, not the sparse
+// SC17 engine's one-word gate-list walk.
 type SteaneEngine struct {
 	protocol
 
@@ -57,9 +57,9 @@ type SteaneEngine struct {
 
 // NewSteane compiles the Steane windows protocol for one configuration.
 // Config fields specific to the surface-code stack (InitRounds,
-// DecoderRule, DenseThreshold) are ignored: the Steane layer projects
-// the codespace with a single sign-fixed ESM round and always decodes by
-// two-round agreement.
+// DecoderRule) are ignored: the Steane layer projects the codespace with
+// a single sign-fixed ESM round and always decodes by two-round
+// agreement.
 func NewSteane(cfg Config) (*SteaneEngine, error) {
 	cfg = cfg.withDefaults()
 	core := layers.NewChpCore(rand.New(rand.NewSource(cfg.RefSeed)))

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -146,6 +147,21 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBytes caps the body of a submit or shard-batch request. A
+// spec is a few hundred bytes and a dispatched batch adds at most 8
+// bytes per shard index, so any batch of up to 100 000 shards fits.
+const maxRequestBytes = 1 << 20
+
+// decodeStatus is the status of a request whose body failed to decode:
+// 413 when it ran past maxRequestBytes, 400 otherwise.
+func decodeStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{
 		"status":  "ok",
@@ -195,11 +211,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.submits.Add(1)
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode submit request: %v", err)
+		writeError(w, decodeStatus(err), "decode submit request: %v", err)
 		return
 	}
 	if req.Version != sweepstore.Version {

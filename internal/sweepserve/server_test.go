@@ -372,6 +372,63 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesHostileBodies: a submit whose samples count would
+// size the job's per-shard slices at 2^44 entries answers 400 and the
+// server keeps serving, and a submit or shard-batch body past
+// maxRequestBytes answers 413, on both roles.
+func TestServerSurvivesHostileBodies(t *testing.T) {
+	_, ts := newTestServer(t, t.TempDir(), 1)
+	ws := httptest.NewServer(NewWorker(WorkerOptions{Workers: 1}))
+	defer ws.Close()
+	post := func(url string, body []byte) int {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	huge := experiments.Spec{Engine: "framesim", PERs: []float64{0.001}, Samples: 1125899906842624}
+	body, err := json.Marshal(SubmitRequest{Version: sweepstore.Version, Spec: huge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post(ts.URL+"/v1/sweeps", body); code != http.StatusBadRequest {
+		t.Errorf("huge samples submit: status %d, want 400", code)
+	}
+	body, err = json.Marshal(ShardBatchRequest{Version: sweepstore.Version, Spec: huge, Indices: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post(ws.URL+"/v1/shards", body); code != http.StatusBadRequest {
+		t.Errorf("huge samples shard batch: status %d, want 400", code)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after huge submit: status %d", resp.StatusCode)
+	}
+
+	// A well-formed prefix that runs past the limit: the decoder must
+	// hit the cap, not a syntax error.
+	var big bytes.Buffer
+	fmt.Fprintf(&big, `{"version":%q,"spec":{"engine":"framesim","pers":[0.001`, sweepstore.Version)
+	for big.Len() <= maxRequestBytes {
+		big.WriteString(",0.001")
+	}
+	big.WriteString(`],"samples":64},"indices":[0]}`)
+	if code := post(ts.URL+"/v1/sweeps", big.Bytes()); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit: status %d, want 413", code)
+	}
+	if code := post(ws.URL+"/v1/shards", big.Bytes()); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized shard batch: status %d, want 413", code)
+	}
+}
+
 // TestServerRejectsMalformedIDs: a job ID from the URL names store
 // entries, so anything but 64 lowercase hex digits is refused on every
 // job route — in particular an escaped path that would read files

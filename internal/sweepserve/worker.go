@@ -118,19 +118,20 @@ func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 	rw.Write(buf.Bytes())
 }
 
-// handleShards computes one shard batch. Validation failures are 400s
-// (the coordinator gives up on the batch immediately rather than
-// retrying a request that cannot succeed); compute and store errors are
-// 500s (retryable — the coordinator retries, fails the worker over, or
-// falls back to local compute).
+// handleShards computes one shard batch. Validation failures are 400s,
+// or 413 for a body past maxRequestBytes (the coordinator gives up on
+// the batch immediately rather than retrying a request that cannot
+// succeed); compute and store errors are 500s (retryable — the
+// coordinator retries, fails the worker over, or falls back to local
+// compute).
 func (w *Worker) handleShards(rw http.ResponseWriter, r *http.Request) {
 	w.batches.Add(1)
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req ShardBatchRequest
 	if err := dec.Decode(&req); err != nil {
 		w.rejected.Add(1)
-		writeError(rw, http.StatusBadRequest, "decode shard batch: %v", err)
+		writeError(rw, decodeStatus(err), "decode shard batch: %v", err)
 		return
 	}
 	if req.Version != sweepstore.Version {
