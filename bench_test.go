@@ -398,9 +398,12 @@ func BenchmarkCHPTransposedGates(b *testing.B) {
 }
 
 // BenchmarkCHPTransposedMeasure exercises both measurement branches of
-// the column-major tableau: the H-then-measure loop takes the random
-// (word-parallel batch absorb) branch, the re-measure the deterministic
-// (per-column popcount) branch.
+// the column-major tableau. On the product states of the n=… cases the
+// H-then-measure loop takes the random (word-parallel batch absorb)
+// branch and the re-measure the deterministic branch, where exactly one
+// stabilizer row is selected. The entangled/n=… cases measure only
+// deterministic ancillas that select two or three rows, the multi-row
+// product path of an ESM readout; n=97 is the d=7 plane's size.
 func BenchmarkCHPTransposedMeasure(b *testing.B) {
 	for _, n := range []int{17, 49, 81} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -408,6 +411,7 @@ func BenchmarkCHPTransposedMeasure(b *testing.B) {
 			for q := 0; q < n; q++ {
 				t.H(q)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t.H(i % n)
@@ -416,6 +420,49 @@ func BenchmarkCHPTransposedMeasure(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{17, 49, 97} {
+		b.Run(fmt.Sprintf("entangled/n=%d", n), func(b *testing.B) {
+			t, anc := parityReadout(n)
+			for _, a := range anc {
+				if _, det := t.Measure(a); !det {
+					b.Fatalf("ancilla %d not deterministic", a)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t.MeasureBit(anc[i%len(anc)])
+			}
+		})
+	}
+}
+
+// parityReadout returns an n-qubit tableau (n odd) shaped like a
+// surface-code plane after an ESM round: (n+1)/2 data qubits in a GHZ
+// state, with a few of them flipped, and (n−1)/2 ancillas, ancilla i
+// holding the Z parity of data qubits i and i+1. The data state is
+// entangled, every ancilla's outcome is deterministic, and measuring
+// ancilla i > 0 multiplies the stabilizer rows Z_aZ_iZ_{i+1}, Z_0Z_i
+// and Z_0Z_{i+1}: three rows on four columns, in different row words
+// once 2n+1 > 64 (ancilla 0 selects two).
+func parityReadout(n int) (*chp.Tableau, []int) {
+	m := (n + 1) / 2
+	t := chp.New(n, rand.New(rand.NewSource(1)))
+	t.H(0)
+	for d := 1; d < m; d++ {
+		t.CNOT(0, d)
+		if d%3 == 0 {
+			t.X(d)
+		}
+	}
+	anc := make([]int, 0, n-m)
+	for a := m; a < n; a++ {
+		d := a - m
+		t.CNOT(d, a)
+		t.CNOT(d+1, a)
+		anc = append(anc, a)
+	}
+	return t, anc
 }
 
 // BenchmarkStatevecGate measures state-vector gate application at the

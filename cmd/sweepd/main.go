@@ -56,9 +56,33 @@ import (
 	"repro/internal/sweepstore"
 )
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so idle or trickling clients cannot pin connections.
-const readHeaderTimeout = 10 * time.Second
+// Connection timeouts of both roles, so idle or trickling clients
+// cannot pin connections and handlers:
+//   - readHeaderTimeout bounds the request headers;
+//   - readTimeout bounds the whole request, body included. Bodies are
+//     capped at 1 MiB, which any healthy client sends well inside it.
+//     It stops applying once a handler has read its body: net/http then
+//     clears the read deadline, so SSE streams and long shard batches
+//     run past it (and there is no write timeout for the same reason);
+//   - idleTimeout closes a keep-alive connection that carries no
+//     request. It exceeds the 90 s after which http.DefaultTransport
+//     drops idle connections, so clients normally close first.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 15 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the HTTP server of both roles.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -157,7 +181,7 @@ func cmdServe(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
+	hs := newHTTPServer(*addr, srv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -259,7 +283,7 @@ func cmdWorker(args []string) (err error) {
 		st.SetMaxBytes(*maxBytes)
 		wopt.Store = st
 	}
-	hs := &http.Server{Addr: *addr, Handler: sweepserve.NewWorker(wopt), ReadHeaderTimeout: readHeaderTimeout}
+	hs := newHTTPServer(*addr, sweepserve.NewWorker(wopt))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

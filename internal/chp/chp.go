@@ -16,9 +16,12 @@
 // for the 17-qubit ninja star (35 rows) every gate is a few single-word
 // operations. Measurement uses the same word-parallelism across rows: all
 // rows absorbing the pivot are multiplied simultaneously with a
-// bit-sliced mod-4 phase accumulator, and deterministic outcomes are
-// derived per column from popcounts and a carry-less prefix-parity
-// product. The row-major layout survives as the test-only Reference
+// bit-sliced mod-4 phase accumulator. A deterministic outcome is the
+// sign of the product of the stabilizer rows the measured qubit selects:
+// the sign bit itself when it selects one row, as most stabilizer-code
+// ancilla readouts do, and otherwise popcounts and a carry-less
+// prefix-parity product over only the column words the selected rows
+// touch. The row-major layout survives as the test-only Reference
 // implementation (reference.go), which the differential fuzz tests drive
 // in lockstep with this one.
 package chp
@@ -420,18 +423,29 @@ func (t *Tableau) measureRandom(q, p int) int {
 
 // measureDeterministic evaluates the outcome without mutating the state:
 // the product of the stabilizer rows selected by destabilizers with an X
-// component on q is ±Z_q, and its sign is the outcome. Because distinct
-// columns commute, the sign of the ordered row product factors into
-// per-column phases, each computed word-parallel across all selected
-// rows from popcounts and a prefix-parity word.
+// component on q is ±Z_q, and its sign is the outcome. When exactly one
+// row is selected — most measurements of a stabilizer-code ancilla —
+// that row is ±Z_q itself and its sign bit is the outcome (for a single
+// factor every per-column phase term of productSignExponent cancels).
+// Otherwise productSignExponent multiplies the selected rows, skipping
+// every column word they do not touch.
 //
 //qa:hotpath
 func (t *Tableau) measureDeterministic(q int) int {
 	n, rw := t.n, t.rowWords
 	md := t.m
 	xq := t.xcol(q)
+	selected, last := 0, 0 // last: the highest word holding a selection
 	for w := 0; w < rw; w++ {
 		md[w] = xq[w] & t.destabMask[w]
+		if md[w] != 0 {
+			selected += bits.OnesCount64(md[w])
+			last = w
+		}
+	}
+	if selected == 1 {
+		r := n + last<<6 + bits.TrailingZeros64(md[last]) // the stabilizer row
+		return int(t.sign[r>>6]>>uint(r&63)) & 1
 	}
 	ms := t.ms
 	shiftPlaneLeft(ms, md, n)
@@ -451,31 +465,42 @@ func (t *Tableau) measureDeterministic(q int) int {
 // result. The middle sum needs only its parity, which one prefix-parity
 // word per 64 rows delivers without iterating the selected rows.
 //
+// The cost follows the selected rows, not the tableau: only the words
+// between the first and last selected row are read, and a column word
+// on which no selected row has support adds zero to every term (and
+// leaves the prefix carry alone), so it is skipped before any popcount.
+//
 //qa:hotpath
 func (t *Tableau) productSignExponent(ms []uint64) int {
-	n, rw := t.n, t.rowWords
+	rw := t.rowWords
 	e := 0
+	lo, hi := 0, 0 // the selected rows lie in words lo..hi-1
 	for w := 0; w < rw; w++ {
+		if ms[w] != 0 {
+			if hi == 0 {
+				lo = w
+			}
+			hi = w + 1
+		}
 		e += 2 * bits.OnesCount64(t.sign[w]&ms[w])
 	}
-	for c := 0; c < n; c++ {
-		xc, zc := t.xcol(c), t.zcol(c)
-		a, b := 0, 0
-		xp, zp := 0, 0
-		carry := uint64(0)
-		for w := 0; w < rw; w++ {
-			mx := xc[w] & ms[w]
-			mz := zc[w] & ms[w]
-			a += bits.OnesCount64(mx & mz)
-			strict := prefixParity64(mz)<<1 ^ carry
-			b ^= bits.OnesCount64(mx&strict) & 1
-			if bits.OnesCount64(mz)&1 == 1 {
-				carry = ^carry
+	sel := ms[lo:hi]
+	xz := t.xz
+	for base := lo; base < len(xz); base += 2 * rw {
+		xc, zc := xz[base:base+len(sel)], xz[base+rw:base+rw+len(sel)]
+		// carry is all ones while the column's Z parity so far is odd;
+		// xpar's low bit is its X parity.
+		carry, xpar := uint64(0), 0
+		for w, m := range sel {
+			mx, mz := xc[w]&m, zc[w]&m
+			if mx|mz == 0 {
+				continue
 			}
-			xp += bits.OnesCount64(mx)
-			zp += bits.OnesCount64(mz)
+			e += bits.OnesCount64(mx&mz) + 2*bits.OnesCount64(mx&(prefixParity64(mz)<<1^carry))
+			carry ^= -(uint64(bits.OnesCount64(mz)) & 1)
+			xpar ^= bits.OnesCount64(mx)
 		}
-		e += a + 2*b + 3*(xp&1)*(zp&1)
+		e += 3 * (xpar & int(carry&1))
 	}
 	e &= 3
 	if e&1 != 0 {

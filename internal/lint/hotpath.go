@@ -6,8 +6,9 @@ import (
 )
 
 // The hotpath check statically pins the 0 allocs/op claims of the CHP
-// column-major gate kernels and the framesim word-parallel
-// propagate/decode loops (BENCH_chp.json, BENCH_framesim.json). Inside
+// column-major gate and measurement kernels (DESIGN.md, "Tableau memory
+// layout") and the framesim word-parallel propagate/decode loops
+// (BENCH_framesim.json). Inside
 // a function whose doc comment carries //qa:hotpath it forbids every
 // construct that can allocate per call:
 //
