@@ -8,7 +8,7 @@ import (
 
 // benchSweep is the shared SC17 LER point both engines run: 64 samples at
 // the thesis' mid-sweep PER. The ns/op ratio between the two benchmarks
-// is the speedup recorded in BENCH_framesim.json.
+// is the speedup recorded in DESIGN.md ("Frame-engine microbenchmarks").
 func benchSweep(b *testing.B, engine experiments.Engine) {
 	cfg := experiments.SweepConfig{
 		Engine:           engine,

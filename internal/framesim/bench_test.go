@@ -152,7 +152,8 @@ func BenchmarkSteaneFrameWindow(b *testing.B) {
 
 // BenchmarkSteaneFrameBatch runs the Steane LER-point workload (PER
 // 5e-3, 10 logical errors per shot) through one W-wide batch; shots/s
-// across the width sweep is recorded in BENCH_framesim.json.
+// across the width sweep is recorded in DESIGN.md ("Frame-engine
+// microbenchmarks").
 func BenchmarkSteaneFrameBatch(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(benchWidthName(w), func(b *testing.B) {
@@ -197,7 +198,7 @@ func BenchmarkSteaneFrameSparseBatch(b *testing.B) {
 // BenchmarkFrameSimLERPoint sample protocol: PER 5e-3, 10 logical errors
 // per shot) through one W-wide batch of 64·W shots. Shots per second
 // across the width sweep is the 64→512 scaling curve recorded in
-// BENCH_framesim.json.
+// DESIGN.md ("Frame-engine microbenchmarks").
 func BenchmarkFrameSimWideBatch(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(benchWidthName(w), func(b *testing.B) {

@@ -13,7 +13,9 @@
 // qubits). A batch may carry W ∈ {1..8} such words per plane (64·W shots
 // per propagate pass); every 64-shot word is an independent run with its
 // own seed, RNG and channel samplers, so lane word k of a W-wide run is
-// bit-identical to a width-1 run from the same seed.
+// bit-identical to a width-1 run from the same seed. A word's RNG is a
+// laneRNG: rand.New(rand.NewSource(seed))'s stream, replayed draw for
+// draw by a concrete generator whose draws inline into the hit loops.
 //
 // Exactness rests on the protocol's structure: after the noiseless
 // initialization the state is the unique all-(+1)-stabilizer logical
@@ -154,9 +156,9 @@ type WindowTrace struct {
 type Engine struct {
 	protocol
 
-	// groupOfSite/bitOfSite map ESM measurement sites to hardware ancilla
-	// groups (0 = A, ancillas 9..12; 1 = B) and syndrome bits.
-	groupOfSite, bitOfSite []uint8
+	// synSite[g][b] is the ESM measurement site of syndrome bit b of
+	// hardware ancilla group g (0 = A, ancillas 9..12; 1 = B).
+	synSite [2][4]int
 
 	lutA, lutB *decoder.LUT
 	// gateAIsZ: group-A syndromes decode to Z corrections (normal
@@ -253,8 +255,6 @@ func New(cfg Config) (*Engine, error) {
 		gateAIsZ:     st.Rotation == surface.RotNormal,
 		intersection: cfg.DecoderRule == decoder.RuleIntersection,
 	}
-	e.groupOfSite = make([]uint8, e.esm.NumMeas())
-	e.bitOfSite = make([]uint8, e.esm.NumMeas())
 	var seen [2][4]bool
 	for i := 0; i < e.esm.NumMeas(); i++ {
 		q := e.esm.MeasQubit(i)
@@ -268,12 +268,12 @@ func New(cfg Config) (*Engine, error) {
 		if rel < 0 {
 			return nil, fmt.Errorf("framesim: ESM measures qubit %d, which is no ancilla", q)
 		}
-		g, b := uint8(rel/4), uint8(rel%4)
+		g, b := rel/4, rel%4
 		if seen[g][b] {
 			return nil, fmt.Errorf("framesim: ancilla %d measured twice per round", q)
 		}
 		seen[g][b] = true
-		e.groupOfSite[i], e.bitOfSite[i] = g, b
+		e.synSite[g][b] = i
 	}
 	for g := range seen {
 		for b, ok := range seen[g] {
@@ -520,11 +520,12 @@ func equalWords(a, b []uint64) bool {
 }
 
 // laneRun is the independent sampling state of one 64-shot word: its own
-// RNG and channel samplers. Word independence is what makes lane
-// extraction exact: word k of a W-wide run replays a width-1 run from
-// the same seed bit-for-bit.
+// RNG, which replays math/rand's stream for the word's seed, and its
+// channel samplers. Word independence is what makes lane extraction
+// exact: word k of a W-wide run replays a width-1 run from the same seed
+// bit-for-bit.
 type laneRun struct {
-	rng                *rand.Rand
+	rng                laneRNG
 	single, meas, pair sampler
 }
 
@@ -818,7 +819,9 @@ func (x *tapeExec) runFused(st *runState, fp *fusedProg, ref []uint64, out []uin
 // runSites walks one fused run of single-channel (or pre-measurement
 // X-flip) sites for every live lane word: the word's gap sampler jumps
 // from hit to hit across the whole run, paying one comparison per hit
-// plus one per run instead of one per site.
+// plus one per run instead of one per site. The word's cursor, RNG,
+// planes, active mask and injection counters stay in locals, and a hit
+// picks its Pauli and counts itself without a branch.
 //
 //qa:hotpath
 func (x *tapeExec) runSites(st *runState, qs []int32, measFlip bool) {
@@ -831,8 +834,11 @@ func (x *tapeExec) runSites(st *runState, qs []int32, measFlip bool) {
 	}
 	w := st.w
 	m := int64(len(qs)) << 6
+	fx, fz := st.b.fx, st.b.fz
+	uX, uXY := x.uX, x.uXY
 	for k := 0; k < w; k++ {
-		if st.active[k] == 0 {
+		act := st.active[k]
+		if act == 0 {
 			continue
 		}
 		l := &st.lanes[k]
@@ -840,36 +846,32 @@ func (x *tapeExec) runSites(st *runState, qs []int32, measFlip bool) {
 		if measFlip {
 			s = &l.meas
 		}
-		for s.next < m {
-			q := int(qs[s.next>>6])
-			j := uint(s.next) & 63
-			bit := uint64(1) << j
-			o := q*w + k
+		rng, invL := &l.rng, s.invL
+		inj := (*[64]int)(st.inj[k*64:])
+		next := s.next
+		for next < m {
+			o := int(qs[next>>6])*w + k
+			j := uint(next) & 63
 			if measFlip {
-				st.b.fx[o] ^= bit
+				fx[o] ^= 1 << j
 			} else {
-				v := l.rng.Uint64()
-				switch {
-				case v < x.uX:
-					st.b.fx[o] ^= bit
-				case v < x.uXY:
-					st.b.fx[o] ^= bit
-					st.b.fz[o] ^= bit
-				default:
-					st.b.fz[o] ^= bit
-				}
+				xf, zf := singleFlips(rng.Uint64(), uX, uXY)
+				fx[o] ^= xf << j
+				fz[o] ^= zf << j
 			}
-			if st.active[k]&bit != 0 {
-				st.inj[k*64+int(j)]++
+			inj[j] += int(act >> j & 1)
+			e, ej, ok := rng.expFast()
+			if !ok {
+				e = rng.expSlow(ej)
 			}
-			s.next += s.gap(l.rng)
+			next += quantize(e, invL)
 		}
-		s.next -= m
+		s.next = next - m
 	}
 }
 
 // runPairs walks one fused run of correlated two-qubit sites for every
-// live lane word.
+// live lane word, with the same locals as runSites.
 //
 //qa:hotpath
 func (x *tapeExec) runPairs(st *runState, qa, qb []int32) {
@@ -878,19 +880,43 @@ func (x *tapeExec) runPairs(st *runState, qa, qb []int32) {
 	}
 	w := st.w
 	m := int64(len(qa)) << 6
+	fx, fz := st.b.fx, st.b.fz
 	for k := 0; k < w; k++ {
-		if st.active[k] == 0 {
+		act := st.active[k]
+		if act == 0 {
 			continue
 		}
 		l := &st.lanes[k]
 		s := &l.pair
-		for s.next < m {
-			site := s.next >> 6
-			x.applyPairHit(st, k, int(qa[site]), int(qb[site]), uint(s.next)&63)
-			s.next += s.gap(l.rng)
+		rng, invL := &l.rng, s.invL
+		inj := (*[64]int)(st.inj[k*64:])
+		next := s.next
+		for next < m {
+			site := next >> 6
+			j := uint(next) & 63
+			pm := pairMasks[rng.Intn(len(pairMasks))]
+			flipPair(fx, fz, int(qa[site])*w+k, int(qb[site])*w+k, pm, j)
+			inj[j] += int(act >> j & 1)
+			e, ej, ok := rng.expFast()
+			if !ok {
+				e = rng.expSlow(ej)
+			}
+			next += quantize(e, invL)
 		}
-		s.next -= m
+		s.next = next - m
 	}
+}
+
+// singleFlips splits one raw draw v into the X and Z flips (0 or 1) of a
+// single-qubit channel hit given the kind thresholds uX ≤ uXY: X when
+// v < uX, Y when uX ≤ v < uXY, Z otherwise. So the X plane flips when
+// v < uXY and the Z plane when v ≥ uX — two borrow bits, no branch.
+//
+//qa:hotpath
+func singleFlips(v, uX, uXY uint64) (xf, zf uint64) {
+	_, xf = bits.Sub64(v, uXY, 0)
+	_, zf = bits.Sub64(v, uX, 0)
+	return xf, zf ^ 1
 }
 
 // applySingleHit applies one single-qubit channel hit on lane j of word
@@ -900,21 +926,11 @@ func (x *tapeExec) runPairs(st *runState, qa, qb []int32) {
 //
 //qa:hotpath
 func (x *tapeExec) applySingleHit(st *runState, k, q int, j uint) {
-	bit := uint64(1) << j
 	o := q*st.w + k
-	v := st.lanes[k].rng.Uint64()
-	switch {
-	case v < x.uX:
-		st.b.fx[o] ^= bit
-	case v < x.uXY:
-		st.b.fx[o] ^= bit
-		st.b.fz[o] ^= bit
-	default:
-		st.b.fz[o] ^= bit
-	}
-	if st.active[k]&bit != 0 {
-		st.inj[k*64+int(j)]++
-	}
+	xf, zf := singleFlips(st.lanes[k].rng.Uint64(), x.uX, x.uXY)
+	st.b.fx[o] ^= xf << j
+	st.b.fz[o] ^= zf << j
+	st.inj[k*64+int(j)] += int(st.active[k] >> j & 1)
 }
 
 // applyPairHit applies one correlated two-qubit hit on lane j of word k:
@@ -922,25 +938,20 @@ func (x *tapeExec) applySingleHit(st *runState, k, q int, j uint) {
 //
 //qa:hotpath
 func (x *tapeExec) applyPairHit(st *runState, k, qa, qb int, j uint) {
-	bit := uint64(1) << j
-	oa := qa*st.w + k
-	ob := qb*st.w + k
-	pr := pairTable[st.lanes[k].rng.Intn(len(pairTable))]
-	if pr[0]&ErrX != 0 {
-		st.b.fx[oa] ^= bit
-	}
-	if pr[0]&ErrZ != 0 {
-		st.b.fz[oa] ^= bit
-	}
-	if pr[1]&ErrX != 0 {
-		st.b.fx[ob] ^= bit
-	}
-	if pr[1]&ErrZ != 0 {
-		st.b.fz[ob] ^= bit
-	}
-	if st.active[k]&bit != 0 {
-		st.inj[k*64+int(j)]++
-	}
+	pm := pairMasks[st.lanes[k].rng.Intn(len(pairMasks))]
+	flipPair(st.b.fx, st.b.fz, qa*st.w+k, qb*st.w+k, pm, j)
+	st.inj[k*64+int(j)] += int(st.active[k] >> j & 1)
+}
+
+// flipPair XORs the two-qubit Pauli pm (a pairMasks entry) into lane j
+// of plane words oa (first operand) and ob (second).
+//
+//qa:hotpath
+func flipPair(fx, fz []uint64, oa, ob int, pm uint8, j uint) {
+	fx[oa] ^= uint64(pm&1) << j
+	fz[oa] ^= uint64(pm>>1&1) << j
+	fx[ob] ^= uint64(pm>>2&1) << j
+	fz[ob] ^= uint64(pm>>3) << j
 }
 
 // applyScripted injects a scripted Pauli on every lane of word 0
@@ -981,7 +992,7 @@ func (x *tapeExec) sampleCorrectionSlot(st *runState, k int, hasCorr uint64) {
 		if hasCorr>>j&1 == 1 {
 			x.applySingleHit(st, k, int(s.next>>6), j)
 		}
-		s.next += s.gap(l.rng)
+		s.next += s.gap(&l.rng)
 	}
 	s.next -= m
 }
@@ -1015,18 +1026,14 @@ func (e *Engine) decodeGroup(r1, r2, carry, dec *[4]uint64) uint64 {
 	return dec[0] | dec[1] | dec[2] | dec[3]
 }
 
-// gather scatters the per-site outcome words of lane word k into
-// syndrome bit-planes per hardware group.
+// gather reads the per-site outcome words of lane word k into syndrome
+// bit-planes per hardware group.
 //
 //qa:hotpath
 func gather(e *Engine, out []uint64, k, w int, a, b *[4]uint64) {
-	for i := range e.groupOfSite {
-		v := out[i*w+k]
-		if e.groupOfSite[i] == 0 {
-			a[e.bitOfSite[i]] = v
-		} else {
-			b[e.bitOfSite[i]] = v
-		}
+	for i := range a {
+		a[i] = out[e.synSite[0][i]*w+k]
+		b[i] = out[e.synSite[1][i]*w+k]
 	}
 }
 

@@ -1,9 +1,6 @@
 package framesim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // sampler draws hit positions for one Bernoulli error channel across the
 // flattened trial space (site × 64 shots) with geometric gap sampling:
@@ -15,8 +12,9 @@ import (
 // The gap is drawn by quantizing an exponential: if E ~ Exp(1), then
 // ⌊E/λ⌋ with λ = −log(1−p) is exactly Geometric(p) on {0, 1, ...} — the
 // same inversion formula as ⌊log(1−u)/log(1−p)⌋ with E = −log(1−u), but
-// rand.ExpFloat64's ziggurat draw costs a fraction of a log evaluation,
-// and the gap draw is the single hottest RNG operation of a sweep.
+// the ziggurat draw (laneRNG.ExpFloat64, math/rand's algorithm and
+// tables) costs a fraction of a log evaluation, and the gap draw is the
+// single hottest RNG operation of a sweep.
 //
 // next is the offset of the next hit inside the current 64-trial word;
 // the executor consumes one word per error site and carries the residual
@@ -32,7 +30,7 @@ type sampler struct {
 const disabledNext = int64(math.MaxInt64 / 2)
 
 // newSampler primes a sampler, consuming one gap draw when p > 0.
-func newSampler(p float64, rng *rand.Rand) sampler {
+func newSampler(p float64, rng *laneRNG) sampler {
 	s := sampler{p: p}
 	if p <= 0 {
 		s.next = disabledNext
@@ -46,9 +44,14 @@ func newSampler(p float64, rng *rand.Rand) sampler {
 }
 
 // gap draws the 1-based distance to the next hit: Geometric(p) via the
-// quantized exponential, ⌊Exp(1)·invL⌋ + 1.
-func (s *sampler) gap(rng *rand.Rand) int64 {
-	g := rng.ExpFloat64() * s.invL
+// quantized exponential.
+func (s *sampler) gap(rng *laneRNG) int64 { return quantize(rng.ExpFloat64(), s.invL) }
+
+// quantize maps an Exp(1) draw e to the gap ⌊e·invL⌋ + 1.
+//
+//qa:hotpath
+func quantize(e, invL float64) int64 {
+	g := e * invL
 	if g >= float64(disabledNext) {
 		return disabledNext
 	}
@@ -98,19 +101,20 @@ func (s *sampler) skipSites(k int) {
 	}
 }
 
-// pairTable lists the 15 equally likely correlated two-qubit error pairs
-// in the order of layers.twoQubitErrorTable: ({I,X,Y,Z}² minus II),
-// first operand outermost.
-var pairTable = func() [15][2]PauliErr {
+// pairMasks lists the 15 equally likely correlated two-qubit errors in
+// the order of layers.twoQubitErrorTable ({I,X,Y,Z}² minus II, first
+// operand outermost) as 4-bit masks: the first operand's PauliErr in
+// bits 0–1, the second's in bits 2–3.
+var pairMasks = func() [15]uint8 {
 	set := [4]PauliErr{ErrNone, ErrX, ErrY, ErrZ}
-	var out [15][2]PauliErr
+	var out [15]uint8
 	i := 0
 	for _, a := range set {
 		for _, b := range set {
 			if a == ErrNone && b == ErrNone {
 				continue
 			}
-			out[i] = [2]PauliErr{a, b}
+			out[i] = uint8(a) | uint8(b)<<2
 			i++
 		}
 	}

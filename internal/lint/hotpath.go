@@ -8,7 +8,7 @@ import (
 // The hotpath check statically pins the 0 allocs/op claims of the CHP
 // column-major gate and measurement kernels (DESIGN.md, "Tableau memory
 // layout") and the framesim word-parallel propagate/decode loops
-// (BENCH_framesim.json). Inside
+// (DESIGN.md, "Frame-engine microbenchmarks"). Inside
 // a function whose doc comment carries //qa:hotpath it forbids every
 // construct that can allocate per call:
 //
