@@ -13,9 +13,7 @@
 // qubits). A batch may carry W ∈ {1..8} such words per plane (64·W shots
 // per propagate pass); every 64-shot word is an independent run with its
 // own seed, RNG and channel samplers, so lane word k of a W-wide run is
-// bit-identical to a width-1 run from the same seed. A word's RNG is a
-// laneRNG: rand.New(rand.NewSource(seed))'s stream, replayed draw for
-// draw by a concrete generator whose draws inline into the hit loops.
+// bit-identical to a width-1 run from the same seed.
 //
 // Exactness rests on the protocol's structure: after the noiseless
 // initialization the state is the unique all-(+1)-stabilizer logical
@@ -520,12 +518,11 @@ func equalWords(a, b []uint64) bool {
 }
 
 // laneRun is the independent sampling state of one 64-shot word: its own
-// RNG, which replays math/rand's stream for the word's seed, and its
-// channel samplers. Word independence is what makes lane extraction
-// exact: word k of a W-wide run replays a width-1 run from the same seed
-// bit-for-bit.
+// RNG and channel samplers. Word independence is what makes lane
+// extraction exact: word k of a W-wide run replays a width-1 run from
+// the same seed bit-for-bit.
 type laneRun struct {
-	rng                laneRNG
+	rng                *rand.Rand
 	single, meas, pair sampler
 }
 
@@ -819,9 +816,11 @@ func (x *tapeExec) runFused(st *runState, fp *fusedProg, ref []uint64, out []uin
 // runSites walks one fused run of single-channel (or pre-measurement
 // X-flip) sites for every live lane word: the word's gap sampler jumps
 // from hit to hit across the whole run, paying one comparison per hit
-// plus one per run instead of one per site. The word's cursor, RNG,
-// planes, active mask and injection counters stay in locals, and a hit
-// picks its Pauli and counts itself without a branch.
+// plus one per run instead of one per site. A word the run does not hit
+// pays only its cursor update, as at low error rates most words do. For
+// the others the cursor, RNG, planes, active mask and injection counters
+// stay in locals, and a hit picks its Pauli and counts itself without a
+// branch.
 //
 //qa:hotpath
 func (x *tapeExec) runSites(st *runState, qs []int32, measFlip bool) {
@@ -846,7 +845,11 @@ func (x *tapeExec) runSites(st *runState, qs []int32, measFlip bool) {
 		if measFlip {
 			s = &l.meas
 		}
-		rng, invL := &l.rng, s.invL
+		if s.next >= m {
+			s.next -= m
+			continue
+		}
+		rng, invL := l.rng, s.invL
 		inj := (*[64]int)(st.inj[k*64:])
 		next := s.next
 		for next < m {
@@ -860,11 +863,7 @@ func (x *tapeExec) runSites(st *runState, qs []int32, measFlip bool) {
 				fz[o] ^= zf << j
 			}
 			inj[j] += int(act >> j & 1)
-			e, ej, ok := rng.expFast()
-			if !ok {
-				e = rng.expSlow(ej)
-			}
-			next += quantize(e, invL)
+			next += quantize(rng.ExpFloat64(), invL)
 		}
 		s.next = next - m
 	}
@@ -888,7 +887,11 @@ func (x *tapeExec) runPairs(st *runState, qa, qb []int32) {
 		}
 		l := &st.lanes[k]
 		s := &l.pair
-		rng, invL := &l.rng, s.invL
+		if s.next >= m {
+			s.next -= m
+			continue
+		}
+		rng, invL := l.rng, s.invL
 		inj := (*[64]int)(st.inj[k*64:])
 		next := s.next
 		for next < m {
@@ -897,11 +900,7 @@ func (x *tapeExec) runPairs(st *runState, qa, qb []int32) {
 			pm := pairMasks[rng.Intn(len(pairMasks))]
 			flipPair(fx, fz, int(qa[site])*w+k, int(qb[site])*w+k, pm, j)
 			inj[j] += int(act >> j & 1)
-			e, ej, ok := rng.expFast()
-			if !ok {
-				e = rng.expSlow(ej)
-			}
-			next += quantize(e, invL)
+			next += quantize(rng.ExpFloat64(), invL)
 		}
 		s.next = next - m
 	}
@@ -992,7 +991,7 @@ func (x *tapeExec) sampleCorrectionSlot(st *runState, k int, hasCorr uint64) {
 		if hasCorr>>j&1 == 1 {
 			x.applySingleHit(st, k, int(s.next>>6), j)
 		}
-		s.next += s.gap(&l.rng)
+		s.next += s.gap(l.rng)
 	}
 	s.next -= m
 }

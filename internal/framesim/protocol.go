@@ -13,6 +13,7 @@ package framesim
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
@@ -192,12 +193,12 @@ func (p *protocol) newRunState(seeds []int64, script Script) *runState {
 	}
 	for k, seed := range seeds {
 		l := &st.lanes[k]
-		l.rng.seed(seed)
+		l.rng = rand.New(rand.NewSource(seed))
 		if script == nil {
-			l.single = newSampler(p.p, &l.rng)
-			l.meas = newSampler(p.pMeas, &l.rng)
+			l.single = newSampler(p.p, l.rng)
+			l.meas = newSampler(p.pMeas, l.rng)
 			if p.corrPair {
-				l.pair = newSampler(p.p, &l.rng)
+				l.pair = newSampler(p.p, l.rng)
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package framesim
 
-import "math"
+import (
+	"math"
+	"math/rand"
+)
 
 // sampler draws hit positions for one Bernoulli error channel across the
 // flattened trial space (site × 64 shots) with geometric gap sampling:
@@ -12,9 +15,8 @@ import "math"
 // The gap is drawn by quantizing an exponential: if E ~ Exp(1), then
 // ⌊E/λ⌋ with λ = −log(1−p) is exactly Geometric(p) on {0, 1, ...} — the
 // same inversion formula as ⌊log(1−u)/log(1−p)⌋ with E = −log(1−u), but
-// the ziggurat draw (laneRNG.ExpFloat64, math/rand's algorithm and
-// tables) costs a fraction of a log evaluation, and the gap draw is the
-// single hottest RNG operation of a sweep.
+// rand.ExpFloat64's ziggurat draw costs a fraction of a log evaluation,
+// and the gap draw is the single hottest RNG operation of a sweep.
 //
 // next is the offset of the next hit inside the current 64-trial word;
 // the executor consumes one word per error site and carries the residual
@@ -30,7 +32,7 @@ type sampler struct {
 const disabledNext = int64(math.MaxInt64 / 2)
 
 // newSampler primes a sampler, consuming one gap draw when p > 0.
-func newSampler(p float64, rng *laneRNG) sampler {
+func newSampler(p float64, rng *rand.Rand) sampler {
 	s := sampler{p: p}
 	if p <= 0 {
 		s.next = disabledNext
@@ -45,7 +47,7 @@ func newSampler(p float64, rng *laneRNG) sampler {
 
 // gap draws the 1-based distance to the next hit: Geometric(p) via the
 // quantized exponential.
-func (s *sampler) gap(rng *laneRNG) int64 { return quantize(rng.ExpFloat64(), s.invL) }
+func (s *sampler) gap(rng *rand.Rand) int64 { return quantize(rng.ExpFloat64(), s.invL) }
 
 // quantize maps an Exp(1) draw e to the gap ⌊e·invL⌋ + 1.
 //

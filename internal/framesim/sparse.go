@@ -342,7 +342,7 @@ func (s *Sparse) sampleSite(st *runState, ti *sparseTape, i int) {
 			if st.active[0]&bit != 0 {
 				st.inj[j]++
 			}
-			sm.next += sm.gap(&l.rng)
+			sm.next += sm.gap(l.rng)
 		}
 		sm.advanceWord()
 	case opErrSingle:
@@ -365,7 +365,7 @@ func (s *Sparse) sampleSite(st *runState, ti *sparseTape, i int) {
 		sm := &l.pair
 		for sm.next < 64 {
 			s.applyPairHit(st, 0, a, int(op.b), uint(sm.next))
-			sm.next += sm.gap(&l.rng)
+			sm.next += sm.gap(l.rng)
 		}
 		sm.advanceWord()
 	}
@@ -380,7 +380,7 @@ func (s *Sparse) singleWord(st *runState, q int) {
 	sm := &l.single
 	for sm.next < 64 {
 		s.applySingleHit(st, 0, q, uint(sm.next))
-		sm.next += sm.gap(&l.rng)
+		sm.next += sm.gap(l.rng)
 	}
 	sm.advanceWord()
 }
