@@ -66,7 +66,7 @@ const (
 	// are bit-identical to EngineFrameSim; sampled runs agree
 	// statistically. The streams differ in draw order: the dense
 	// engine's fused program draws a time slot's single-channel sites
-	// before its pair sites, the sparse walker draws them in tape order
+	// before its pair sites, the sparse engine draws them in tape order
 	// (a CNOT's pair site before the slot's idle sites), and a word's
 	// samplers share one RNG. For the Steane code both names select the
 	// one Steane frame engine, which skips quiet windows itself.

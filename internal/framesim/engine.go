@@ -166,7 +166,7 @@ type Engine struct {
 }
 
 // tapeExec is the executor core shared by the protocol front-ends (the
-// SC17 Engine, the Steane engine and the sparse engine's walker): the
+// SC17 Engine, the Steane engine and the sparse engine's hit sampler): the
 // physical qubit count plus the cached channel constants every tape walk
 // and hit sampler needs. It carries no mutable run state — that lives in
 // runState — so front-ends embedding it stay safe for concurrent runs.
@@ -350,24 +350,32 @@ func fuseTape(t *Tape, corrPair bool) *fusedProg {
 }
 
 // symbolicPass runs one tape noiselessly on a width-1 batch whose lane j
-// carries the j-th F₂ basis vector of one plane family (fx when zBasis
-// is false, fz when true). Because noiseless frame propagation is linear
-// over F₂, the returned outcome words are the dependence masks of each
-// measurement site on the pre-tape planes, and the final planes are the
-// rows of the tape's linear map (postX[q] = which basis lanes feed
-// fx'[q], postZ[q] likewise for fz'[q]). Error sites are skipped — they
-// inject nothing in a noiseless run.
-func symbolicPass(t *Tape, n int, zBasis bool) (out, postX, postZ []uint64) {
+// carries the F₂ basis vector of plane q0+j of one plane family (fx when
+// zBasis is false, fz when true), for the up to 64 planes from q0 on.
+// Because noiseless frame propagation is linear over F₂, the returned
+// outcome words are the dependence masks of each measurement site on
+// those pre-tape planes, and the final planes are the matching columns
+// of the tape's linear map (postX[q] = which basis lanes feed fx'[q],
+// postZ[q] likewise for fz'[q]).
+func symbolicPass(t *Tape, n int, zBasis bool, q0 int) (out, postX, postZ []uint64) {
 	b := NewBatch(n)
-	for q := 0; q < n; q++ {
+	for j := 0; j < 64 && q0+j < n; j++ {
 		if zBasis {
-			b.fz[q] = uint64(1) << uint(q)
+			b.fz[q0+j] = uint64(1) << uint(j)
 		} else {
-			b.fx[q] = uint64(1) << uint(q)
+			b.fx[q0+j] = uint64(1) << uint(j)
 		}
 	}
-	out = make([]uint64, t.NumMeas())
-	for i := range t.ops {
+	return propagateTape(t, b, 0, nil), b.fx, b.fz
+}
+
+// propagateTape runs tape t noiselessly on the width-1 batch b from op
+// `from` on and returns each measurement site's X plane (zero for sites
+// before from). At every error op it calls inject with the op index, if
+// inject is non-nil; error sites inject nothing otherwise.
+func propagateTape(t *Tape, b *Batch, from int, inject func(i int)) []uint64 {
+	out := make([]uint64, t.NumMeas())
+	for i := from; i < len(t.ops); i++ {
 		op := &t.ops[i]
 		a := int(op.a)
 		switch op.code {
@@ -385,9 +393,13 @@ func symbolicPass(t *Tape, n int, zBasis bool) (out, postX, postZ []uint64) {
 			b.fx[a], b.fz[a] = 0, 0
 		case opMeas:
 			out[op.b] = b.fx[a]
+		case opErrSingle, opErrMeas, opErrPair:
+			if inject != nil {
+				inject(i)
+			}
 		}
 	}
-	return out, b.fx, b.fz
+	return out
 }
 
 // shortcut holds the noiseless-round linear functionals derived by
@@ -429,10 +441,10 @@ func newShortcut(esm, probe *Tape, n int, refProbe []uint64) shortcut {
 	if n > 64 {
 		return shortcut{}
 	}
-	outEX, postEXX, postEZX := symbolicPass(esm, n, false)
-	outEZ, postEXZ, postEZZ := symbolicPass(esm, n, true)
-	outPX, postPXX, postPZX := symbolicPass(probe, n, false)
-	outPZ, postPXZ, postPZZ := symbolicPass(probe, n, true)
+	outEX, postEXX, postEZX := symbolicPass(esm, n, false, 0)
+	outEZ, postEXZ, postEZZ := symbolicPass(esm, n, true, 0)
+	outPX, postPXX, postPZX := symbolicPass(probe, n, false, 0)
+	outPZ, postPXZ, postPZZ := symbolicPass(probe, n, true, 0)
 	var stale uint64
 	for q := 0; q < n; q++ {
 		id := uint64(1) << uint(q)
@@ -553,12 +565,11 @@ type runState struct {
 	active []uint64
 	inj    []int
 
-	// The sparse walker's state (width-1 runs only): sc/mc/pc count the
-	// sites each channel has consumed in the current tape; hits is the
-	// scripted walk's hit list and hit the index of its next entry.
+	// The sparse engine's state (width-1 runs only): sc/mc/pc count the
+	// sites each channel has consumed in the current tape, and terms is
+	// the round map's scratch (protocol.termWords words).
 	sc, mc, pc int
-	hits       []scriptHit
-	hit        int
+	terms      []uint64
 }
 
 // checkWide validates a wide batch request: 1..MaxLanes seed words, and

@@ -5,7 +5,7 @@
 // lane bookkeeping, and one window loop with its batch and scripted entry
 // points, the quiet-window skip, the noiseless diagnostic-and-probe step
 // that closes every window, and the shot accounting. Only the decode, the
-// per-window traces and the sparse engine's gate-list tape walker stay
+// per-window traces and the sparse engine's round maps stay
 // engine-specific (windowCode).
 
 package framesim
@@ -52,6 +52,9 @@ type protocol struct {
 	// noSkip turns the quiet-window skip off. Only tests set it, to run
 	// the reference the skip must reproduce bit for bit.
 	noSkip bool
+	// termWords sizes each run's round-map scratch (runState.terms); only
+	// the sparse engine sets it.
+	termWords int
 }
 
 // windowCode is what an engine adds to the shared window loop.
@@ -190,6 +193,7 @@ func (p *protocol) newRunState(seeds []int64, script Script) *runState {
 		expected: make([]uint64, w),
 		active:   make([]uint64, w),
 		inj:      make([]int, 64*w),
+		terms:    make([]uint64, p.termWords),
 	}
 	for k, seed := range seeds {
 		l := &st.lanes[k]
@@ -272,7 +276,7 @@ func runScripted[T any](p *protocol, c windowCode, windows int, script Script,
 // record. res must hold 64·w entries; shot 64k+j of lane word k lands in
 // res[64k+j].
 //
-// A window is p.rounds noisy ESM rounds through c's walker, then per live
+// A window is p.rounds noisy ESM rounds through c's esmRound, then per live
 // lane word c's decode and the correction slot's noise, then the shared
 // diagnostic-and-probe step. With canon set, sampled runs first jump
 // over quiet windows (quietWindows). A lane word whose 64 shots have all

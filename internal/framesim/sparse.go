@@ -1,15 +1,16 @@
-// The sparse Pauli-frame engine: the SC17 windows protocol with a tape
-// walker whose cost scales with the gates and the *errors*, not with the
+// The sparse Pauli-frame engine: the SC17 windows protocol with a round
+// executor whose cost scales with the *errors*, not with the gates or the
 // error sites. Below pseudo-threshold almost every shot-word is the
 // identity frame almost all the time, so the dense walker burns its
-// cycles drawing samples over error sites that never fire. This walker
-// runs only the tape's frame-changing ops — Cliffords, Prep and Meas, 48
-// of the 160 ops of an SC17 ESM round — with single-word kernels, and
-// before each of them applies every hit whose site comes earlier in the
-// tape. The channel samplers jump straight from hit to hit, so the 112
-// error sites of a round cost nothing unless one of them fires, and a
-// round that starts from a zero frame with no hit ahead is skipped
-// outright.
+// cycles drawing samples over error sites that never fire. This engine
+// compiles each tape into a round map (roundmap.go): the tape's
+// noiseless F₂-linear map on the frame, and each error site's Pauli
+// effects carried to the end of the tape. A round copies the reference
+// outcomes, applies the map when the incoming frame is nonzero, and then
+// XORs in the effect of each hit. The channel samplers jump straight from
+// hit to hit, so the 112 error sites of a round cost nothing unless one
+// of them fires, and a round that starts from a zero frame with no hit
+// ahead only consumes its trial words.
 //
 // Everything else is the shared window loop (protocol.go) with the SC17
 // Engine's decode. The engine canonicalizes clean lanes, which returns
@@ -21,23 +22,10 @@ package framesim
 
 import "fmt"
 
-// gateOp is one frame-changing op of a tape: a Clifford, a Prep or a
-// Meas (for which b is the measurement site).
-type gateOp struct {
-	op   int32 // tape op index
-	code opcode
-	a, b int32
-}
-
-// sparseTape indexes one compiled tape for the gate-list walk.
+// sparseTape indexes one compiled tape for the sparse engine.
 type sparseTape struct {
-	t *Tape
-
-	// gates lists the tape's frame-changing ops in tape order. Error
-	// sites and reference-only Paulis are absent. gateFrom[i] is the
-	// index of the first gate at or after tape op i.
-	gates    []gateOp
-	gateFrom []int32
+	t  *Tape
+	rm roundMap
 
 	// Per-channel error sites in tape (= trial stream) order, as tape op
 	// indices. With the uncorrelated model a pair op contributes two
@@ -47,20 +35,14 @@ type sparseTape struct {
 
 	// singleOrd/measOrd/pairOrd map an op index to the ordinal of its
 	// first site in the channel list (-1 elsewhere), aligning channel
-	// cursors when the walk jumps over sites without a hit.
+	// cursors when a round jumps over sites without a hit.
 	singleOrd, measOrd, pairOrd []int32
-}
-
-// scriptHit is one collected scripted injection of the current tape.
-type scriptHit struct {
-	op     int32
-	a, b   int32
-	pa, pb PauliErr
 }
 
 func indexTape(t *Tape, corrPair bool) *sparseTape {
 	ti := &sparseTape{
 		t:         t,
+		rm:        newRoundMap(t),
 		singleOrd: make([]int32, len(t.ops)),
 		measOrd:   make([]int32, len(t.ops)),
 		pairOrd:   make([]int32, len(t.ops)),
@@ -69,13 +51,7 @@ func indexTape(t *Tape, corrPair bool) *sparseTape {
 		ti.singleOrd[i], ti.measOrd[i], ti.pairOrd[i] = -1, -1, -1
 	}
 	for i := range t.ops {
-		op := &t.ops[i]
-		ti.gateFrom = append(ti.gateFrom, int32(len(ti.gates)))
-		switch op.code {
-		case opH, opS, opSdg, opCNOT, opCZ, opSWAP, opPrep, opMeas:
-			ti.gates = append(ti.gates, gateOp{op: int32(i), code: op.code, a: op.a, b: op.b})
-		case opX, opY, opZ:
-			// Reference-only: the frame commutes through.
+		switch t.ops[i].code {
 		case opErrSingle:
 			ti.singleOrd[i] = int32(len(ti.single))
 			ti.single = append(ti.single, int32(i))
@@ -97,8 +73,8 @@ func indexTape(t *Tape, corrPair bool) *sparseTape {
 }
 
 // Sparse is the sparse-mode engine: the SC17 Engine — tapes, reference
-// outcomes, decoder tables and the shared window loop — with the
-// gate-list walker in place of the dense one for the noisy ESM rounds,
+// outcomes, decoder tables and the shared window loop — with the round
+// map in place of the dense walker for the noisy ESM rounds,
 // canonicalization of clean lanes and the quiet-window skip on. Like
 // Engine, one Sparse may serve many goroutines concurrently.
 type Sparse struct {
@@ -123,24 +99,27 @@ func NewSparse(cfg Config) (*Sparse, error) {
 		esmT:   indexTape(e.esm, e.corrPair),
 	}
 	s.canon = true
+	// A round map has at most one term per outcome, one per output row
+	// and the empty one, whichever of the protocol's tapes it maps.
+	s.termWords = max(e.esm.NumMeas(), e.probe.NumMeas()) + 2*e.n + 1
 	return s, nil
 }
 
 // RunBatch runs up to 64 Monte-Carlo shots in one word, with the same
 // termination and accounting semantics as Engine.RunBatch. The sampled
 // results agree with the dense engine in distribution, not bit for bit:
-// the walker draws each channel's hits in tape order, while the dense
-// engine's fused program draws a slot's single-channel sites before its
-// pair sites, and a word's samplers share one RNG. Safe for concurrent
-// use on one Sparse.
+// the sparse engine draws each channel's hits in tape order, while the
+// dense engine's fused program draws a slot's single-channel sites
+// before its pair sites, and a word's samplers share one RNG. Safe for
+// concurrent use on one Sparse.
 func (s *Sparse) RunBatch(seed int64, shots int) ([]ShotResult, error) {
 	return s.runBatchWide(s, []int64{seed}, shots)
 }
 
 // RunBatchWide runs up to 64·len(seeds) shots as len(seeds) independent
 // width-1 word runs, one per seed, concatenating the per-word results.
-// The gate-list walk runs one word at a time (its per-hit sampling and
-// its zero-frame skips are per word), so the wide entry point exists for
+// The round map runs one word at a time (its per-hit sampling and its
+// zero-frame skips are per word), so the wide entry point exists for
 // engine-interchangeability: the result slice is bit-identical to
 // len(seeds) RunBatch calls — and hence to the dense engine's
 // lane-extraction contract for the word seeds.
@@ -165,41 +144,38 @@ func (s *Sparse) RunScripted(windows int, script Script) ([]WindowTrace, ShotRes
 	return runScripted(&s.protocol, s, windows, script, s.trace)
 }
 
-// esmRound runs one noisy ESM round through the gate-list walker.
+// esmRound runs one noisy ESM round through the round map.
 func (s *Sparse) esmRound(st *runState, out []uint64) {
 	s.runTape(st, s.esmT, s.refESM, true, out)
 }
 
-// runTape propagates the width-1 frame through one tape with the
-// gate-list walk. Its events are the channel samplers' hits in sampled
-// mode, the script's injections in scripted mode, and nothing in a
-// noiseless run. A sampled tape that starts from a zero frame starts the
-// walk at its first hit, because the gates before it act on zeros; with
-// no hit ahead it only consumes the tape's trial words.
+// runTape propagates the width-1 frame through one tape with its round
+// map: the reference outcomes, then the map's image of the incoming
+// frame unless that frame is zero, then the effect of every event. The
+// events are the channel samplers' hits in sampled mode, the script's
+// injections in scripted mode, and nothing in a noiseless run. Because
+// propagation is linear, the planes and outcomes afterwards are
+// bit-identical to executing every op of the tape, and a sampled tape
+// consumes its trial words exactly as that execution would.
 //
 //qa:hotpath
 func (s *Sparse) runTape(st *runState, ti *sparseTape, ref []uint64, noisy bool, out []uint64) {
 	copy(out, ref)
-	if !noisy || st.script != nil {
-		st.hits = st.hits[:0]
-		if noisy {
-			//qa:allow hotpath scripted runs are single-shot diagnostics, cold by design
-			s.collectHits(st, ti)
-		}
-		st.hit = 0
-		s.walk(st, ti, ref, out, st.nextScripted(len(ti.t.ops)), 0, false)
+	if !st.frameZero() {
+		ti.rm.apply(st.b.fx, st.b.fz, out, st.terms)
+	}
+	if !noisy {
+		return
+	}
+	if st.script != nil {
+		//qa:allow hotpath scripted runs are single-shot diagnostics, cold by design
+		applyScript(st, ti, out)
 		return
 	}
 	st.sc, st.mc, st.pc = 0, 0, 0
-	next, from := st.nextHit(ti), 0
-	if st.frameZero() {
-		if next == len(ti.t.ops) {
-			st.skipRest(ti)
-			return
-		}
-		from = int(ti.gateFrom[next])
+	for next := st.nextHit(ti); next < len(ti.t.ops); next = st.nextHit(ti) {
+		s.sampleSite(st, ti, next, out)
 	}
-	s.walk(st, ti, ref, out, next, from, true)
 	st.skipRest(ti)
 }
 
@@ -213,65 +189,6 @@ func (st *runState) frameZero() bool {
 		or |= x | fz[i]
 	}
 	return or == 0
-}
-
-// walk runs the gate list of ti on the width-1 frame. Before each gate it
-// applies every event whose site comes earlier in the tape: the channel
-// samplers' hits when sampled, the entries of st.hits otherwise; next is
-// the tape op of the first event. A gate on clean qubits only XORs
-// zeros, and every channel consumes its trial words in tape order, so
-// the walk is bit-identical to executing every op of the tape.
-//
-//qa:hotpath
-func (s *Sparse) walk(st *runState, ti *sparseTape, ref, out []uint64, next, from int, sampled bool) {
-	fx, fz := st.b.fx, st.b.fz
-	for i := from; i < len(ti.gates); i++ {
-		g := &ti.gates[i]
-		for next < int(g.op) {
-			next = s.event(st, ti, next, sampled)
-		}
-		a, b := g.a, g.b
-		switch g.code {
-		case opH:
-			fx[a], fz[a] = fz[a], fx[a]
-		case opS, opSdg:
-			fz[a] ^= fx[a]
-		case opCNOT:
-			fx[b] ^= fx[a]
-			fz[a] ^= fz[b]
-		case opCZ:
-			fz[b] ^= fx[a]
-			fz[a] ^= fx[b]
-		case opSWAP:
-			fx[a], fx[b] = fx[b], fx[a]
-			fz[a], fz[b] = fz[b], fz[a]
-		case opPrep:
-			fx[a], fz[a] = 0, 0
-		case opMeas:
-			out[b] = fx[a] ^ ref[b]
-		}
-	}
-	for next < len(ti.t.ops) {
-		next = s.event(st, ti, next, sampled)
-	}
-}
-
-// event applies the event at tape op i and returns the op index of the
-// next one, or the tape length when none is left.
-//
-//qa:hotpath
-func (s *Sparse) event(st *runState, ti *sparseTape, i int, sampled bool) int {
-	if sampled {
-		s.sampleSite(st, ti, i)
-		return st.nextHit(ti)
-	}
-	h := &st.hits[st.hit]
-	st.hit++
-	s.applyScripted(st, int(h.a), h.pa)
-	if h.b >= 0 {
-		s.applyScripted(st, int(h.b), h.pb)
-	}
-	return st.nextScripted(len(ti.t.ops))
 }
 
 // nextHit returns the tape op index of the earliest site at which one of
@@ -294,19 +211,8 @@ func (st *runState) nextHit(ti *sparseTape) int {
 	return next
 }
 
-// nextScripted returns the tape op index of the next unapplied scripted
-// hit, or nops when none is left.
-//
-//qa:hotpath
-func (st *runState) nextScripted(nops int) int {
-	if st.hit < len(st.hits) {
-		return int(st.hits[st.hit].op)
-	}
-	return nops
-}
-
-// skipRest consumes the trial words of every site of the tape the walk
-// has not visited.
+// skipRest consumes the trial words of every site of the tape that no
+// hit has visited.
 //
 //qa:hotpath
 func (st *runState) skipRest(ti *sparseTape) {
@@ -316,18 +222,22 @@ func (st *runState) skipRest(ti *sparseTape) {
 	l.pair.skipSites(len(ti.pairs) - st.pc)
 }
 
-// sampleSite consumes the trial word(s) of error op i and applies their
-// hits, exactly like the dense engine's per-site executor: one word for
-// a pre-measurement flip, a single-channel site or a correlated pair
-// site, two single-channel words (operand a's, then b's) for a pair site
-// under the uncorrelated model. The channel cursors first align via the
-// ord tables, skipping the sites the walk passed over, so the sampled
-// hit pattern is identical given the same draw sequence.
+// sampleSite consumes the trial word(s) of error op i and XORs their
+// hits' effects into the planes and out, drawing exactly like the dense
+// engine's per-site executor: one word for a pre-measurement flip, a
+// single-channel site or a correlated pair site, two single-channel
+// words (operand a's, then b's) for a pair site under the uncorrelated
+// model. The channel cursors first align via the ord tables, skipping
+// the sites no hit landed in, so the sampled hit pattern is identical
+// given the same draw sequence. A word's hits on one operand share its
+// effects, so each effect is applied once, with the mask of the lanes
+// that hit it.
 //
 //qa:hotpath
-func (s *Sparse) sampleSite(st *runState, ti *sparseTape, i int) {
+func (s *Sparse) sampleSite(st *runState, ti *sparseTape, i int, out []uint64) {
 	op := &ti.t.ops[i]
-	a := int(op.a)
+	e := ti.rm.effAt[i]
+	fx, fz := st.b.fx, st.b.fz
 	l := &st.lanes[0]
 	switch op.code {
 	case opErrMeas:
@@ -335,76 +245,108 @@ func (s *Sparse) sampleSite(st *runState, ti *sparseTape, i int) {
 		l.meas.skipSites(k - st.mc)
 		st.mc = k + 1
 		sm := &l.meas
+		var hit uint64
 		for sm.next < 64 {
 			j := uint(sm.next)
-			bit := uint64(1) << j
-			st.b.fx[a] ^= bit
-			if st.active[0]&bit != 0 {
-				st.inj[j]++
-			}
+			hit |= 1 << j
+			st.inj[j] += int(st.active[0] >> j & 1)
 			sm.next += sm.gap(l.rng)
 		}
 		sm.advanceWord()
+		ti.rm.flip(fx, fz, out, e, hit)
 	case opErrSingle:
 		k := int(ti.singleOrd[i])
 		l.single.skipSites(k - st.sc)
 		st.sc = k + 1
-		s.singleWord(st, a)
+		xm, zm := s.singleWord(st)
+		ti.rm.flipPauli(fx, fz, out, e, xm, zm)
 	case opErrPair:
 		if !s.corrPair {
 			k := int(ti.singleOrd[i])
 			l.single.skipSites(k - st.sc)
 			st.sc = k + 2
-			s.singleWord(st, a)
-			s.singleWord(st, int(op.b))
+			xa, za := s.singleWord(st)
+			xb, zb := s.singleWord(st)
+			ti.rm.flipPauli(fx, fz, out, e, xa, za)
+			ti.rm.flipPauli(fx, fz, out, e+2, xb, zb)
 			return
 		}
 		k := int(ti.pairOrd[i])
 		l.pair.skipSites(k - st.pc)
 		st.pc = k + 1
 		sm := &l.pair
+		var xa, za, xb, zb uint64
 		for sm.next < 64 {
-			s.applyPairHit(st, 0, a, int(op.b), uint(sm.next))
+			j := uint(sm.next)
+			pm := pairMasks[l.rng.Intn(len(pairMasks))]
+			xa |= uint64(pm&1) << j
+			za |= uint64(pm>>1&1) << j
+			xb |= uint64(pm>>2&1) << j
+			zb |= uint64(pm>>3) << j
+			st.inj[j] += int(st.active[0] >> j & 1)
 			sm.next += sm.gap(l.rng)
 		}
 		sm.advanceWord()
+		ti.rm.flipPauli(fx, fz, out, e, xa, za)
+		ti.rm.flipPauli(fx, fz, out, e+2, xb, zb)
 	}
 }
 
-// singleWord applies the single-channel hits of one site's trial word to
-// qubit q.
+// singleWord draws the single-channel hits of one site's trial word and
+// returns the lanes whose Pauli has an X component and those whose Pauli
+// has a Z component.
 //
 //qa:hotpath
-func (s *Sparse) singleWord(st *runState, q int) {
+func (s *Sparse) singleWord(st *runState) (xm, zm uint64) {
 	l := &st.lanes[0]
 	sm := &l.single
 	for sm.next < 64 {
-		s.applySingleHit(st, 0, q, uint(sm.next))
+		j := uint(sm.next)
+		xf, zf := singleFlips(l.rng.Uint64(), s.uX, s.uXY)
+		xm |= xf << j
+		zm |= zf << j
+		st.inj[j] += int(st.active[0] >> j & 1)
 		sm.next += sm.gap(l.rng)
 	}
 	sm.advanceWord()
+	return xm, zm
 }
 
-// collectHits fills st.hits with the current tape's scripted injections
-// by walking its error ops in order (a deterministic map *lookup* per
-// site, never an iteration). Scripted runs are single-shot diagnostics —
-// this path is cold and may allocate.
-func (s *Sparse) collectHits(st *runState, ti *sparseTape) {
+// applyScript XORs the effects of the current tape's scripted
+// injections into the planes and out, site by site in tape order (a
+// deterministic map *lookup* per site, never an iteration). Like
+// applyScripted it puts a scripted Pauli on every lane of the word and
+// counts it once. Scripted runs are single-shot diagnostics — this path
+// is cold.
+func applyScript(st *runState, ti *sparseTape, out []uint64) {
 	for i := range ti.t.ops {
 		op := &ti.t.ops[i]
+		e := ti.rm.effAt[i]
 		switch op.code {
 		case opErrSingle:
-			if pp, ok := st.script[Site{st.round, int(op.slot), KindSingle, int(op.a), -1}]; ok && pp[0] != ErrNone {
-				st.hits = append(st.hits, scriptHit{op: int32(i), a: op.a, b: -1, pa: pp[0]})
+			if pp, ok := st.script[Site{st.round, int(op.slot), KindSingle, int(op.a), -1}]; ok {
+				scriptedEffect(st, ti, out, e, pp[0])
 			}
 		case opErrMeas:
-			if pp, ok := st.script[Site{st.round, int(op.slot), KindMeas, int(op.a), -1}]; ok && pp[0] != ErrNone {
-				st.hits = append(st.hits, scriptHit{op: int32(i), a: op.a, b: -1, pa: pp[0]})
+			if pp, ok := st.script[Site{st.round, int(op.slot), KindMeas, int(op.a), -1}]; ok {
+				scriptedEffect(st, ti, out, e, pp[0])
 			}
 		case opErrPair:
-			if pp, ok := st.script[Site{st.round, int(op.slot), KindPair, int(op.a), int(op.b)}]; ok && pp[0]|pp[1] != ErrNone {
-				st.hits = append(st.hits, scriptHit{op: int32(i), a: op.a, b: op.b, pa: pp[0], pb: pp[1]})
+			if pp, ok := st.script[Site{st.round, int(op.slot), KindPair, int(op.a), int(op.b)}]; ok {
+				scriptedEffect(st, ti, out, e, pp[0])
+				scriptedEffect(st, ti, out, e+2, pp[1])
 			}
 		}
 	}
+}
+
+// scriptedEffect applies Pauli p through the effects from e on, on every
+// lane, counting one injection unless p is the identity.
+func scriptedEffect(st *runState, ti *sparseTape, out []uint64, e int32, p PauliErr) {
+	if p == ErrNone {
+		return
+	}
+	// -1 is the all-ones lane mask.
+	ti.rm.flipPauli(st.b.fx, st.b.fz, out, e, -uint64(p&ErrX), -uint64((p&ErrZ)>>1))
+	st.inj[0]++
 }

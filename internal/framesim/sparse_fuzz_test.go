@@ -6,50 +6,70 @@ import (
 	"repro/internal/layers"
 )
 
-// refWalk is the exact oracle of the sparse walker's sampled mode: every
+// refWalk is the exact oracle of the sparse engine's sampled mode: every
 // op of the tape in order through the Batch kernels, with every error
-// site consuming its trial word(s) through sampleSite whether or not a
-// hit lands in it.
+// site consuming its trial word(s) whether or not a hit lands in it, and
+// every hit applied to the planes at its site (applySingleHit,
+// applyPairHit) instead of through the round map.
 func (s *Sparse) refWalk(st *runState, ti *sparseTape, ref, out []uint64) {
 	copy(out, ref)
-	st.sc, st.mc, st.pc = 0, 0, 0
 	b := st.b
+	l := &st.lanes[0]
+	hits := func(sm *sampler, hit func(j uint)) {
+		for sm.next < 64 {
+			hit(uint(sm.next))
+			sm.next += sm.gap(l.rng)
+		}
+		sm.advanceWord()
+	}
 	for i := range ti.t.ops {
 		op := &ti.t.ops[i]
-		a := int(op.a)
+		a, c := int(op.a), int(op.b)
 		switch op.code {
 		case opH:
 			b.H(a)
 		case opS, opSdg:
 			b.S(a)
 		case opCNOT:
-			b.CNOT(a, int(op.b))
+			b.CNOT(a, c)
 		case opCZ:
-			b.CZ(a, int(op.b))
+			b.CZ(a, c)
 		case opSWAP:
-			b.SWAP(a, int(op.b))
+			b.SWAP(a, c)
 		case opPrep:
 			b.ClearQubit(a)
 		case opMeas:
 			out[op.b] = b.X(a) ^ ref[op.b]
-		case opErrSingle, opErrMeas, opErrPair:
-			s.sampleSite(st, ti, i)
+		case opErrMeas:
+			hits(&l.meas, func(j uint) {
+				b.fx[a] ^= 1 << j
+				st.inj[j] += int(st.active[0] >> j & 1)
+			})
+		case opErrSingle:
+			hits(&l.single, func(j uint) { s.applySingleHit(st, 0, a, j) })
+		case opErrPair:
+			if s.corrPair {
+				hits(&l.pair, func(j uint) { s.applyPairHit(st, 0, a, c, j) })
+			} else {
+				hits(&l.single, func(j uint) { s.applySingleHit(st, 0, a, j) })
+				hits(&l.single, func(j uint) { s.applySingleHit(st, 0, c, j) })
+			}
 		}
 	}
 }
 
-// refSparse is the sparse engine with refWalk in place of the gate-list
-// walk for its noisy ESM rounds.
+// refSparse is the sparse engine with refWalk in place of the round map
+// for its noisy ESM rounds.
 type refSparse struct{ *Sparse }
 
 func (r refSparse) esmRound(st *runState, out []uint64) {
 	r.refWalk(st, r.esmT, r.refESM, out)
 }
 
-// FuzzSparseWalk checks the sparse engine's gate-list walk against exact
+// FuzzSparseWalk checks the sparse engine's round map against exact
 // oracles. In sampled mode one 64-shot word runs through the window loop
-// twice, once with the walk and once with refWalk, and the two runs must
-// give identical ShotResults and final frame planes. In scripted mode a
+// twice, once with the round map and once with refWalk, and the two runs
+// must give identical ShotResults and final frame planes. In scripted mode a
 // script of per-site density 8·PER must give identical planes and
 // outcome words on the dense and sparse tape executors after every span
 // (checkScriptedSpans). flags bit 0 selects ObserveZ, bit 1 the Pauli
@@ -97,7 +117,7 @@ func FuzzSparseWalk(f *testing.F) {
 		want, wantB := run(refSparse{s})
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("shot %d: walk %+v, reference %+v", j, got[j], want[j])
+				t.Fatalf("shot %d: round map %+v, reference %+v", j, got[j], want[j])
 			}
 		}
 		requireEqualPlanes(t, "sampled", 0, wantB, gotB)

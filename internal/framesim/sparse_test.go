@@ -130,7 +130,7 @@ func checkScriptedSpans(t *testing.T, obs Observable, density float64, seed int6
 }
 
 // TestSparseScriptedMatchesCoreFrame is the width-1 property test: the
-// sparse walker's lane records must equal a scalar core.Frame replica
+// sparse engine's lane records must equal a scalar core.Frame replica
 // driven through the same tape ops and scripted errors. Scripted
 // injection broadcasts to all lanes, so one replica pins every lane; we
 // check the two edge lanes.

@@ -46,7 +46,7 @@ type SteaneTrace struct {
 // Sampled runs canonicalize clean lanes and so skip quiet windows
 // outright, which captures the low-p asymptotics; the rounds that do
 // execute take the dense fused walk over all lane words, not the sparse
-// SC17 engine's one-word gate-list walk.
+// SC17 engine's one-word round map.
 type SteaneEngine struct {
 	protocol
 

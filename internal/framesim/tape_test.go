@@ -1,6 +1,9 @@
 package framesim
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
@@ -79,12 +82,60 @@ func TestCompileSiteLayout(t *testing.T) {
 	}
 }
 
+// fuzzCircuit encodes ops for FuzzCompile's seed corpus: gate is an
+// index into the target's gate pool, and an op shares the previous op's
+// time slot when same is set.
+func fuzzCircuit(ops ...[4]int) []byte {
+	var data []byte
+	for _, op := range ops {
+		data = append(data, byte(op[0]<<1|op[3]), byte(op[1]), byte(op[2]))
+	}
+	return data
+}
+
+// Gate pool indices of FuzzCompile's seed corpus.
+const (
+	fzX, fzY, fzH, fzS, fzSdg          = 1, 2, 4, 5, 6
+	fzCNOT, fzCZ, fzSWAP, fzPrep, fzMZ = 8, 9, 10, 11, 12
+)
+
 // FuzzCompile feeds arbitrary (including malformed) circuits to the
-// compiler; any input must produce a tape or an error, never a panic.
+// compiler; any input must produce a tape or an error, never a panic. A
+// tape that compiles must replay without panicking and compile to a
+// round map that agrees with executing the tape (checkRoundMap). The seeds include syndrome-style
+// circuits wider than 64 qubits, where the map's source sets and effect
+// targets span several words.
 func FuzzCompile(f *testing.F) {
 	f.Add([]byte{}, uint8(3))
 	f.Add([]byte{0, 0, 1, 1, 2, 3, 9, 0, 1, 13, 4, 4}, uint8(5))
 	f.Add([]byte{255, 255, 255, 10, 0, 0}, uint8(1))
+	f.Add(fuzzCircuit(
+		[4]int{fzPrep, 4, 0, 0}, [4]int{fzH, 4, 0, 0},
+		[4]int{fzCNOT, 4, 0, 0}, [4]int{fzCNOT, 4, 1, 0}, [4]int{fzCZ, 2, 3, 1},
+		[4]int{fzH, 4, 0, 0}, [4]int{fzS, 2, 0, 1},
+		[4]int{fzMZ, 4, 0, 0}, [4]int{fzSWAP, 0, 1, 1},
+		[4]int{fzMZ, 2, 0, 0}, [4]int{fzH, 3, 0, 1},
+		[4]int{fzPrep, 2, 0, 0}, [4]int{fzCNOT, 3, 0, 1},
+		[4]int{fzMZ, 3, 0, 0}, [4]int{fzSdg, 1, 0, 1}, [4]int{fzY, 2, 0, 1},
+		[4]int{fzCNOT, 1, 2, 0}, [4]int{fzX, 0, 0, 1},
+	), uint8(5))
+	f.Add(fuzzCircuit(
+		[4]int{fzPrep, 90, 0, 0}, [4]int{fzH, 90, 0, 0},
+		[4]int{fzCNOT, 90, 10, 0}, [4]int{fzSWAP, 64, 63, 1},
+		[4]int{fzCNOT, 90, 70, 0}, [4]int{fzCZ, 65, 2, 1},
+		[4]int{fzCNOT, 70, 99, 0}, [4]int{fzH, 90, 0, 0},
+		[4]int{fzMZ, 90, 0, 0}, [4]int{fzMZ, 99, 0, 1},
+		[4]int{fzPrep, 64, 0, 0}, [4]int{fzS, 65, 0, 1},
+		[4]int{fzMZ, 70, 0, 0}, [4]int{fzCNOT, 65, 64, 1},
+		[4]int{fzMZ, 64, 0, 0},
+	), uint8(100))
+	f.Add(fuzzCircuit(
+		[4]int{fzCNOT, 127, 0, 0}, [4]int{fzH, 127, 0, 0},
+		[4]int{fzCNOT, 127, 64, 0}, [4]int{fzCZ, 100, 120, 1},
+		[4]int{fzMZ, 127, 0, 0}, [4]int{fzSWAP, 120, 3, 1},
+		[4]int{fzMZ, 64, 0, 0}, [4]int{fzMZ, 3, 0, 1},
+		[4]int{fzPrep, 100, 0, 0}, [4]int{fzH, 127, 0, 1},
+	), uint8(200))
 	pool := []*gates.Gate{
 		gates.I, gates.X, gates.Y, gates.Z, gates.H, gates.S, gates.Sdg,
 		gates.T, gates.CNOT, gates.CZ, gates.SWAP, gates.Prep, gates.Measure,
@@ -108,10 +159,70 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A tape that compiled must replay without panicking.
-		x := &tapeExec{n: tape.NumQubits()}
-		st := &runState{b: NewBatch(tape.NumQubits()), script: Script{}}
-		out := make([]uint64, tape.NumMeas())
-		x.runTape(st, tape, make([]uint64, tape.NumMeas()), true, out)
+		checkRoundMap(t, tape, data)
 	})
+}
+
+// maxMapCheckOps bounds the tapes checkRoundMap compares: compiling the
+// effects costs one pass over the tape per 64 unit Paulis, quadratic in
+// the tape length. Longer tapes are only replayed.
+const maxMapCheckOps = 4096
+
+// checkRoundMap runs tape twice on the same frame and script, once op by
+// op (tapeExec.runTape) and once through its round map
+// (Sparse.runTape), and requires identical planes, outcome words and
+// injection counts. It tries three scripts: an X at every site operand,
+// a Z at every site operand (so a missing or extra effect target shows
+// whatever the fuzz draws), and a random Pauli pair at about half the
+// sites. Each runs from a random frame and from the zero frame, so both
+// the map and its zero-frame skip are checked. The reference outcomes
+// and all random draws come from a generator seeded by data.
+func checkRoundMap(t *testing.T, tape *Tape, data []byte) {
+	t.Helper()
+	if tape.NumOps() > maxMapCheckOps {
+		st := &runState{b: NewBatch(tape.NumQubits()), w: 1, script: Script{}}
+		out := make([]uint64, tape.NumMeas())
+		(&tapeExec{n: tape.NumQubits()}).runTape(st, tape, make([]uint64, tape.NumMeas()), true, out)
+		return
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	n, nm := tape.NumQubits(), tape.NumMeas()
+	ref := make([]uint64, nm)
+	for i := range ref {
+		ref[i] = -uint64(rng.Intn(2))
+	}
+	paulis := []PauliErr{ErrNone, ErrX, ErrY, ErrZ}
+	scripts := []Script{{}, {}, {}}
+	for _, site := range tape.Sites() {
+		scripts[0][site] = [2]PauliErr{ErrX, ErrX}
+		scripts[1][site] = [2]PauliErr{ErrZ, ErrZ}
+		if rng.Intn(2) == 0 {
+			scripts[2][site] = [2]PauliErr{paulis[rng.Intn(4)], paulis[rng.Intn(4)]}
+		}
+	}
+	ti := indexTape(tape, false)
+	for k, script := range scripts {
+		for _, zero := range []bool{false, true} {
+			want := &runState{b: NewBatch(n), w: 1, script: script, inj: make([]int, 64)}
+			got := &runState{b: NewBatch(n), w: 1, script: script, inj: make([]int, 64), terms: make([]uint64, nm+2*n+1)}
+			for q := 0; q < n && !zero; q++ {
+				want.b.fx[q], want.b.fz[q] = rng.Uint64(), rng.Uint64()
+			}
+			copy(got.b.fx, want.b.fx)
+			copy(got.b.fz, want.b.fz)
+			outW, outG := make([]uint64, nm), make([]uint64, nm)
+			(&tapeExec{n: n}).runTape(want, tape, ref, true, outW)
+			(&Sparse{}).runTape(got, ti, ref, true, outG)
+			label := fmt.Sprintf("script %d, zero frame %v", k, zero)
+			requireEqualPlanes(t, label, 0, want.b, got.b)
+			if !equalWords(outW, outG) {
+				t.Fatalf("%s: outcome words diverge: tape %#x, round map %#x", label, outW, outG)
+			}
+			if want.inj[0] != got.inj[0] {
+				t.Fatalf("%s: %d injections counted, want %d", label, got.inj[0], want.inj[0])
+			}
+		}
+	}
 }

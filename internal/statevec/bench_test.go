@@ -100,7 +100,8 @@ func benchCircuit(n, ngates int, seed int64) []struct {
 // 20-qubit random Clifford+T circuit per op, comparing the generic
 // ApplyMatrix oracle, the serial kernels, and the sharded kernels.
 // The kernels/generic ns/op ratio is the headline speedup recorded in
-// BENCH_statevec.json (acceptance: ≥ 5×).
+// DESIGN.md, "State-vector and dispatch microbenchmarks" (acceptance:
+// ≥ 5×).
 func BenchmarkStatevecRandomCircuit(b *testing.B) {
 	const n, ngates, seed = 20, 50, 2017
 	ops := benchCircuit(n, ngates, seed)

@@ -51,7 +51,6 @@ type job struct {
 	computed   int
 	cached     int
 	pointsDone int
-	result     []experiments.PointResult
 	errMsg     string
 	log        []sseEvent // replay buffer for late subscribers
 	subs       []chan sseEvent
@@ -100,11 +99,11 @@ func (j *job) pointDone(point int, per float64) {
 	j.mu.Unlock()
 }
 
-// finish marks the job done and broadcasts the terminal event.
-func (j *job) finish(pts []experiments.PointResult) {
+// finish marks the job done and broadcasts the terminal event. The
+// results live in the store only.
+func (j *job) finish() {
 	j.mu.Lock()
 	j.state = stateDone
-	j.result = pts
 	j.emitLocked(sseEvent{Name: eventDone, Data: j.snapshotLocked()})
 	j.mu.Unlock()
 }
@@ -156,13 +155,6 @@ func (j *job) unsubscribe(ch chan sseEvent) {
 			return
 		}
 	}
-}
-
-// results returns the folded sweep results (valid once done).
-func (j *job) results() []experiments.PointResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
 }
 
 func (j *job) snapshot() StatusResponse {

@@ -285,7 +285,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		j.fail(err)
 		return
 	}
-	j.finish(pts)
+	j.finish()
 }
 
 // runSweep computes a job's points. Adaptive sweeps stay local: their
@@ -347,7 +347,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown sweep %s", id)
 		return
 	}
-	_, hasResult, err := s.store.GetResult(id)
+	_, hasResult, err := s.store.GetResultJSON(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -362,6 +362,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleResult serves a finished sweep's results as the store holds
+// them, for a job of this server life and a stored one alike: the
+// server keeps no results in memory. The body is the stored JSON plus
+// the newline writeJSON's encoder adds, so the bytes are those of
+// encoding the results afresh.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id, ok := jobID(w, r)
 	if !ok {
@@ -370,9 +375,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j := s.jobByID(id); j != nil {
 		st := j.snapshot()
 		switch st.State {
-		case stateDone:
-			writeJSON(w, http.StatusOK, j.results())
-			return
 		case stateFailed:
 			writeError(w, http.StatusConflict, "sweep %s failed: %s", id, st.Error)
 			return
@@ -381,7 +383,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	pts, ok, err := s.store.GetResult(id)
+	body, ok, err := s.store.GetResultJSON(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -390,7 +392,11 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no result for sweep %s", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, pts)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// As in writeJSON, a write error means the client hung up.
+	//qa:allow errcheck client disconnect mid-response is unactionable
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {

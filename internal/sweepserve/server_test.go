@@ -246,6 +246,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if stored.State != stateStored || !stored.HasResult {
 		t.Fatalf("restarted server status: %+v, want stored with result", stored)
 	}
+	// Before any resume, the result comes straight from the store, with
+	// the bytes the first server served.
+	if _, rawStored := getResult(t, ts2.URL, id); !bytes.Equal(raw1, rawStored) {
+		t.Errorf("stored result bytes differ from the original run:\nstored:   %s\noriginal: %s", rawStored, raw1)
+	}
 	resp, err = http.Post(ts2.URL+"/v1/sweeps/"+id+"/resume", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)

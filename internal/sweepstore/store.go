@@ -400,7 +400,7 @@ func (s *Store) PutResult(hash string, pts []experiments.PointResult) error {
 
 // GetResult loads the stored results of sweep hash, if complete.
 func (s *Store) GetResult(hash string) ([]experiments.PointResult, bool, error) {
-	blob, ok, err := s.getPin(kindResult, hash)
+	blob, ok, err := s.GetResultJSON(hash)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -409,6 +409,13 @@ func (s *Store) GetResult(hash string) ([]experiments.PointResult, bool, error) 
 		return nil, false, fmt.Errorf("sweepstore: decode result %s: %w", hash, err)
 	}
 	return pts, true, nil
+}
+
+// GetResultJSON returns the stored, CRC-checked JSON encoding of sweep
+// hash's results, if complete: the bytes PutResult wrote, in a buffer
+// the caller owns.
+func (s *Store) GetResultJSON(hash string) ([]byte, bool, error) {
+	return s.getPin(kindResult, hash)
 }
 
 // putPin appends a spec or result record, unless the job already holds
