@@ -44,19 +44,24 @@ func main() {
 	fmt.Printf("two-star computation (windows + CNOT_L cycles) at PER=%g\n\n", *per)
 	fmt.Printf("%-12s %-10s %-12s %-14s %-14s\n",
 		"config", "windows", "LER", "corr_gates", "slots_saved%")
-	without, with, err := experiments.RunComputationLERPair(experiments.ComputationLERConfig{
-		PER:              *per,
-		MaxLogicalErrors: *errors,
-		MaxWindows:       *maxWindows,
-		Seed:             *seed,
-		Workers:          *workers,
-	})
+	var cfgs [2]experiments.LERConfig
+	for i := range cfgs {
+		cfgs[i] = experiments.LERConfig{
+			Code:             experiments.CodeComputation,
+			PER:              *per,
+			WithPauliFrame:   i == 1,
+			MaxLogicalErrors: *errors,
+			MaxWindows:       *maxWindows,
+			Seed:             experiments.ShardSeed(*seed, i, 0),
+		}
+	}
+	results, err := experiments.RunLERs(cfgs[:], *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "compute:", err)
 		os.Exit(1)
 	}
 	var lers [2]float64
-	for i, r := range []experiments.LERResult{without, with} {
+	for i, r := range results {
 		name := "no frame"
 		if i == 1 {
 			name = "pauli frame"

@@ -60,14 +60,19 @@ func main() {
 	}
 
 	fmt.Printf("distance scaling at PER=%g (windows are (d−1) ESM rounds long)\n\n", *per)
-	results, err := experiments.RunGenericLERSweep(experiments.GenericLERConfig{
-		PER:              *per,
-		WithPauliFrame:   *pf,
-		MaxLogicalErrors: *errors,
-		MaxWindows:       *maxWindows,
-		Seed:             *seed,
-		Workers:          *workers,
-	}, ds)
+	cfgs := make([]experiments.LERConfig, len(ds))
+	for i, d := range ds {
+		cfgs[i] = experiments.LERConfig{
+			Code:             experiments.CodeSurface,
+			Distance:         d,
+			PER:              *per,
+			WithPauliFrame:   *pf,
+			MaxLogicalErrors: *errors,
+			MaxWindows:       *maxWindows,
+			Seed:             experiments.ShardSeed(*seed, d, 0),
+		}
+	}
+	results, err := experiments.RunLERs(cfgs, *workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dsweep:", err)
 		os.Exit(1)

@@ -1,8 +1,9 @@
 // Command reproduce runs the complete evaluation of the paper at a
 // configurable scale and writes a single markdown report: functional
 // verification (listings and truth tables), the LER study with and
-// without a Pauli frame, the statistics series, the savings counters,
-// the analytic bound, and the distance-scaling extension.
+// without a Pauli frame, the statistics series, the savings counters
+// and the analytic Eq. 5.12 bound at d = 3, 5 and 11. It runs no
+// distance-d simulation: cmd/dsweep does.
 //
 //	reproduce -scale quick -o report.md      # minutes
 //	reproduce -scale thesis -o report.md     # hours, thesis-sized runs

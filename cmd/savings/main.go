@@ -22,6 +22,28 @@ func main() {
 	tsESM := flag.Int("tsesm", 8, "time slots per ESM round for the bound")
 	flag.Parse()
 
+	// Validate every flag up front: a bad invocation exits with a usage
+	// error before any simulation starts, never after a partial run.
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "savings: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	switch {
+	case flag.NArg() > 0:
+		fail("unexpected argument %q", flag.Arg(0))
+	case *points < 1:
+		fail("-points must be >= 1, got %d", *points)
+	case *samples < 1:
+		fail("-samples must be >= 1, got %d", *samples)
+	case *errors < 1:
+		fail("-errors must be >= 1, got %d", *errors)
+	case *maxWindows < 1:
+		fail("-maxwindows must be >= 1, got %d", *maxWindows)
+	case *tsESM < 1:
+		// Eq. 5.12 is undefined below one slot per ESM round.
+		fail("-tsesm must be >= 1, got %d", *tsESM)
+	}
+
 	if !*boundOnly {
 		fmt.Fprintln(os.Stderr, "running PF sweeps for savings counters...")
 		pts, err := experiments.RunSweep(experiments.SweepConfig{
@@ -45,8 +67,9 @@ func main() {
 			fmt.Printf("%-12.4e %-16.4f %-16.4f\n",
 				p.PER, 100*mean(p.GatesSaved), 100*mean(p.SlotsSaved))
 		}
+		ts := experiments.WindowTimeSlots(3, *tsESM, true)
 		fmt.Printf("-> ceiling: 1 correction slot per %d-slot window = %.1f%% of slots (thesis §5.3.2)\n\n",
-			experiments.WindowTimeSlots(3, *tsESM, true), 100.0/17)
+			ts, 100/float64(ts))
 	}
 
 	fmt.Printf("# upper bound on relative LER improvement by a Pauli frame, tsESM=%d (Eq. 5.12, Fig 5.27)\n", *tsESM)

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestComputationLERZeroNoise(t *testing.T) {
-	r, err := RunComputationLER(ComputationLERConfig{PER: 0, MaxWindows: 20, MaxLogicalErrors: 1, Seed: 1})
+	r, err := RunLER(LERConfig{Code: CodeComputation, PER: 0, MaxWindows: 20, MaxLogicalErrors: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -13,8 +13,8 @@ func TestComputationLERZeroNoise(t *testing.T) {
 }
 
 func TestComputationLERUnderNoise(t *testing.T) {
-	r, err := RunComputationLER(ComputationLERConfig{
-		PER: 2e-3, MaxLogicalErrors: 10, MaxWindows: 100000, Seed: 2,
+	r, err := RunLER(LERConfig{
+		Code: CodeComputation, PER: 2e-3, MaxLogicalErrors: 10, MaxWindows: 100000, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +39,8 @@ func TestComputationCostsMoreThanIdling(t *testing.T) {
 		t.Skip("comparison skipped in -short mode")
 	}
 	const per = 2e-3
-	comp, err := RunComputationLER(ComputationLERConfig{
-		PER: per, MaxLogicalErrors: 15, MaxWindows: 100000, Seed: 3,
+	comp, err := RunLER(LERConfig{
+		Code: CodeComputation, PER: per, MaxLogicalErrors: 15, MaxWindows: 100000, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,14 +62,14 @@ func TestComputationPFNeutral(t *testing.T) {
 		t.Skip("comparison skipped in -short mode")
 	}
 	const per = 3e-3
-	without, err := RunComputationLER(ComputationLERConfig{
-		PER: per, MaxLogicalErrors: 15, MaxWindows: 100000, Seed: 5,
+	without, err := RunLER(LERConfig{
+		Code: CodeComputation, PER: per, MaxLogicalErrors: 15, MaxWindows: 100000, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := RunComputationLER(ComputationLERConfig{
-		PER: per, WithPauliFrame: true, MaxLogicalErrors: 15, MaxWindows: 100000, Seed: 6,
+	with, err := RunLER(LERConfig{
+		Code: CodeComputation, PER: per, WithPauliFrame: true, MaxLogicalErrors: 15, MaxWindows: 100000, Seed: 6,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package experiments
 
-import "repro/internal/framesim"
+import (
+	"fmt"
+
+	"repro/internal/framesim"
+)
 
 // wideEngine is what the harness needs of a compiled frame engine: the
 // dense and sparse SC17 engines and the Steane engine all run wide
@@ -34,12 +38,15 @@ func frameConfig(cfg LERConfig) framesim.Config {
 // its defaults applied.
 func newFrameEngine(cfg LERConfig) (wideEngine, error) {
 	fc := frameConfig(cfg)
-	switch {
-	case cfg.Code == CodeSteane:
+	switch cfg.Code {
+	case CodeSteane:
 		// Both frame engine names map to the one Steane engine, whose
 		// quiet-window skip serves the sparse regime.
 		return framesim.NewSteane(fc)
-	case cfg.Engine == EngineSparse:
+	case CodeSurface, CodeComputation:
+		return nil, fmt.Errorf("experiments: the surface plane and the two-star computation run on the stack engine only, not %v", cfg.Engine)
+	}
+	if cfg.Engine == EngineSparse {
 		return framesim.NewSparse(fc)
 	}
 	return framesim.New(fc)

@@ -4,8 +4,8 @@ import "testing"
 
 func TestGenericLERZeroNoise(t *testing.T) {
 	for _, d := range []int{3, 5} {
-		r, err := RunGenericLER(GenericLERConfig{
-			Distance: d, PER: 0, MaxWindows: 20, MaxLogicalErrors: 1, Seed: 1,
+		r, err := RunLER(LERConfig{
+			Code: CodeSurface, Distance: d, PER: 0, MaxWindows: 20, MaxLogicalErrors: 1, Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -24,7 +24,7 @@ func TestGenericD3MatchesSC17Scale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := RunGenericLER(GenericLERConfig{Distance: 3, PER: 2e-3, MaxLogicalErrors: 20, Seed: 4})
+	gen, err := RunLER(LERConfig{Code: CodeSurface, Distance: 3, PER: 2e-3, MaxLogicalErrors: 20, MaxWindows: 1_000_000, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +48,8 @@ func TestDistanceSuppressesLER(t *testing.T) {
 	pooled := func(d int) float64 {
 		errs, rounds := 0, 0
 		for seed := int64(1); seed <= 3; seed++ {
-			r, err := RunGenericLER(GenericLERConfig{
-				Distance: d, PER: per, MaxLogicalErrors: 15,
+			r, err := RunLER(LERConfig{
+				Code: CodeSurface, Distance: d, PER: per, MaxLogicalErrors: 15,
 				MaxWindows: 600000, Seed: seed,
 			})
 			if err != nil {
@@ -77,11 +77,11 @@ func TestFig527SavingsShrinkWithDistance(t *testing.T) {
 		t.Skip("distance comparison skipped in -short mode")
 	}
 	const per = 5e-3
-	d3, err := RunGenericLER(GenericLERConfig{Distance: 3, PER: per, WithPauliFrame: true, MaxLogicalErrors: 15, Seed: 7})
+	d3, err := RunLER(LERConfig{Code: CodeSurface, Distance: 3, PER: per, WithPauliFrame: true, MaxLogicalErrors: 15, MaxWindows: 1_000_000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d5, err := RunGenericLER(GenericLERConfig{Distance: 5, PER: per, WithPauliFrame: true, MaxLogicalErrors: 15, MaxWindows: 100000, Seed: 8})
+	d5, err := RunLER(LERConfig{Code: CodeSurface, Distance: 5, PER: per, WithPauliFrame: true, MaxLogicalErrors: 15, MaxWindows: 100000, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

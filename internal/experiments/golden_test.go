@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -81,16 +82,27 @@ func TestGoldenSeededSweep(t *testing.T) {
 	}
 }
 
-// TestGoldenGenericSweep pins the distance-parameterized generic sweep
-// the same way.
+// planeSweep returns the surface plane runs at distances ds, seeded
+// like cmd/dsweep: distance d runs with ShardSeed(seed, d, 0).
+func planeSweep(cfg LERConfig, seed int64, ds ...int) []LERConfig {
+	cfgs := make([]LERConfig, len(ds))
+	for i, d := range ds {
+		cfgs[i] = cfg
+		cfgs[i].Code = CodeSurface
+		cfgs[i].Distance = d
+		cfgs[i].Seed = ShardSeed(seed, d, 0)
+	}
+	return cfgs
+}
+
+// TestGoldenGenericSweep pins the distance-parameterized surface plane
+// sweep the same way.
 func TestGoldenGenericSweep(t *testing.T) {
-	rs, err := RunGenericLERSweep(GenericLERConfig{
+	rs, err := RunLERs(planeSweep(LERConfig{
 		PER:              4e-3,
 		MaxLogicalErrors: 3,
 		MaxWindows:       400,
-		Seed:             777,
-		Workers:          2,
-	}, []int{3, 5})
+	}, 777, 3, 5), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +124,67 @@ func TestGoldenGenericSweep(t *testing.T) {
 		}
 		if !floatsEqual(r.LER, g.ler) {
 			t.Errorf("d-point %d: LER=%v want %v", i, r.LER, g.ler)
+		}
+	}
+
+	// With the frame on, every field is pinned, so the issued and
+	// executed op and slot counters of the plane are covered too. These
+	// values were recorded from the dedicated plane driver that runLER
+	// replaced.
+	rs, err = RunLERs(planeSweep(LERConfig{
+		PER:              4e-3,
+		WithPauliFrame:   true,
+		MaxLogicalErrors: 3,
+		MaxWindows:       400,
+	}, 777, 3, 5), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPF := []LERResult{
+		{Windows: 68, LogicalErrors: 3, LER: 0.04411764705882353, CorrectionGates: 43, CorrectionSlots: 32, OpsIssued: 6571, SlotsIssued: 1120, OpsExecuted: 6528, SlotsExecuted: 1088, InjectedErrors: 62},
+		{Windows: 69, LogicalErrors: 3, LER: 0.043478260869565216, CorrectionGates: 136, CorrectionSlots: 46, OpsIssued: 42088, SlotsIssued: 2254, OpsExecuted: 41952, SlotsExecuted: 2208, InjectedErrors: 325},
+	}
+	if !reflect.DeepEqual(rs, wantPF) {
+		t.Errorf("frame-on d = 3, 5:\ngot  %+v\nwant %+v", rs, wantPF)
+	}
+}
+
+// TestGoldenComputation pins every result field of the two-star
+// computation (thesis Fig 2.6) with the frame off and on to the bits of
+// the dedicated two-star driver that runLER replaced, recorded from that
+// driver. The odd window cap is overshot by one: a cycle runs one window
+// on each star. Regenerate only with a deliberate semantic change, and
+// say so in the change log.
+func TestGoldenComputation(t *testing.T) {
+	cases := []struct {
+		per  float64
+		pf   bool
+		seed int64
+		want LERResult
+	}{
+		{2e-3, false, 8101, LERResult{Windows: 66, LogicalErrors: 4, LER: 0.06060606060606061, CorrectionGates: 46, CorrectionSlots: 28, OpsIssued: 6679, SlotsIssued: 1117, OpsExecuted: 6679, SlotsExecuted: 1117, InjectedErrors: 59}},
+		{2e-3, false, 8102, LERResult{Windows: 102, LogicalErrors: 3, LER: 0.029411764705882353, CorrectionGates: 60, CorrectionSlots: 43, OpsIssued: 10311, SlotsIssued: 1726, OpsExecuted: 10311, SlotsExecuted: 1726, InjectedErrors: 104}},
+		{2e-3, true, 8101, LERResult{Windows: 102, LogicalErrors: 0, LER: 0, CorrectionGates: 53, CorrectionSlots: 43, OpsIssued: 10304, SlotsIssued: 1726, OpsExecuted: 10251, SlotsExecuted: 1683, InjectedErrors: 85}},
+		{2e-3, true, 8102, LERResult{Windows: 52, LogicalErrors: 4, LER: 0.07692307692307693, CorrectionGates: 44, CorrectionSlots: 31, OpsIssued: 5270, SlotsIssued: 889, OpsExecuted: 5226, SlotsExecuted: 858, InjectedErrors: 54}},
+		{6e-3, false, 8101, LERResult{Windows: 102, LogicalErrors: 3, LER: 0.029411764705882353, CorrectionGates: 141, CorrectionSlots: 79, OpsIssued: 10392, SlotsIssued: 1762, OpsExecuted: 10392, SlotsExecuted: 1762, InjectedErrors: 323}},
+		{6e-3, false, 8102, LERResult{Windows: 102, LogicalErrors: 2, LER: 0.0196078431372549, CorrectionGates: 130, CorrectionSlots: 74, OpsIssued: 10381, SlotsIssued: 1757, OpsExecuted: 10381, SlotsExecuted: 1757, InjectedErrors: 309}},
+		{6e-3, true, 8101, LERResult{Windows: 82, LogicalErrors: 4, LER: 0.04878048780487805, CorrectionGates: 112, CorrectionSlots: 60, OpsIssued: 8353, SlotsIssued: 1413, OpsExecuted: 8241, SlotsExecuted: 1353, InjectedErrors: 251}},
+		{6e-3, true, 8102, LERResult{Windows: 102, LogicalErrors: 1, LER: 0.00980392156862745, CorrectionGates: 130, CorrectionSlots: 69, OpsIssued: 10381, SlotsIssued: 1752, OpsExecuted: 10251, SlotsExecuted: 1683, InjectedErrors: 296}},
+	}
+	for _, tc := range cases {
+		r, err := RunLER(LERConfig{
+			Code:             CodeComputation,
+			PER:              tc.per,
+			WithPauliFrame:   tc.pf,
+			MaxLogicalErrors: 4,
+			MaxWindows:       101,
+			Seed:             tc.seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != tc.want {
+			t.Errorf("per=%g pf=%v seed=%d:\ngot  %+v\nwant %+v", tc.per, tc.pf, tc.seed, r, tc.want)
 		}
 	}
 }

@@ -13,14 +13,10 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/circuit"
 	"repro/internal/decoder"
-	"repro/internal/gates"
 	"repro/internal/layers"
 	"repro/internal/qpdo"
 	"repro/internal/stats"
-	"repro/internal/steane"
-	"repro/internal/surface"
 )
 
 // ErrorType selects which logical error the experiment counts.
@@ -101,7 +97,9 @@ func ParseEngine(s string) (Engine, error) {
 // two (§4.2.3): Surface Code 17, the paper's subject, and Steane
 // [[7,1,3]], whose study shows that claim 2 (a Pauli frame gives no LER
 // benefit) is not an SC17 artifact. Both run the same windows protocol
-// on the same engines.
+// on the same engines. Two more run it on the stack engine only, one
+// run at a time through RunLER and RunLERs: the distance-d surface code
+// plane of claim 3 and the two-star computation of thesis Fig 2.6.
 type Code int
 
 // Codes.
@@ -113,6 +111,19 @@ const (
 	// is one ESM round with two-round-agreement decode; the SC17-only
 	// fields InitRounds and DecoderRule do not apply.
 	CodeSteane
+	// CodeSurface is one distance-d surface code plane (surfaced.Plane)
+	// with the matching decoder; Distance selects d. A window is d−1
+	// ESM rounds. It counts logical X errors only, on the stack engine
+	// only, and InitRounds and DecoderRule do not apply.
+	CodeSurface
+	// CodeComputation is the fault-tolerant computation of thesis Fig
+	// 2.6 on two SC17 ninja stars: each step runs a window on each star
+	// (two windows), then a noisy transversal CNOT_L, and a logical X
+	// error on either star restarts both noiselessly. It counts logical
+	// X errors only, on the stack engine only, and InitRounds and
+	// DecoderRule do not apply: the stars reset with one ESM round and
+	// decode with the default rule.
+	CodeComputation
 )
 
 // LERConfig parameterizes one logical-error-rate run.
@@ -121,6 +132,9 @@ type LERConfig struct {
 	Engine Engine
 	// Code selects the QEC code (default: SC17).
 	Code Code
+	// Distance is the odd code distance of CodeSurface (default 3; 3
+	// reproduces SC17 behaviour). It must be zero for every other code.
+	Distance int
 	// PER is the physical error rate p of the depolarizing model.
 	PER float64
 	// ErrorType selects the monitored logical error.
@@ -153,7 +167,23 @@ func (c LERConfig) withDefaults() LERConfig {
 	if c.InitRounds <= 0 {
 		c.InitRounds = 3
 	}
+	if c.Code == CodeSurface && c.Distance == 0 {
+		c.Distance = 3
+	}
 	return c
+}
+
+// check rejects what c's code cannot run; c must already have its
+// defaults applied. The frame engines reject the stack-only codes when
+// they compile, and the plane's layout checks its distance.
+func (c LERConfig) check() error {
+	if c.Distance != 0 && c.Code != CodeSurface {
+		return fmt.Errorf("experiments: Distance %d applies to CodeSurface only", c.Distance)
+	}
+	if (c.Code == CodeSurface || c.Code == CodeComputation) && c.ErrorType == LogicalZ {
+		return fmt.Errorf("experiments: the surface plane and the two-star computation probe only Z_L, so they count logical X errors only")
+	}
+	return nil
 }
 
 // LERResult reports one run.
@@ -200,56 +230,6 @@ func (r LERResult) SlotsSavedFrac() float64 {
 	return float64(r.SlotsIssued-r.SlotsExecuted) / float64(r.SlotsIssued)
 }
 
-// qecLayer is the seam between runLER and a code's QEC layer, the top
-// of the Fig 5.8 stack: the windows protocol of Listing 5.7 needs one
-// QEC window, one diagnostic ESM round and the logical probe, all on
-// logical qubit 0.
-type qecLayer interface {
-	qpdo.Core
-	// window runs one QEC window and returns the correction gates and
-	// time slots the decoder issued.
-	window() (gates, slots int, err error)
-	// diagnose runs one ESM round and reports whether it saw no syndrome.
-	diagnose() (clean bool, err error)
-	// probe reads the logical observable that et's errors flip: Z_L for
-	// logical X errors, X_L for logical Z errors.
-	probe(et ErrorType) (int, error)
-}
-
-// starLayer adapts the SC17 ninja-star layer to runLER. A window is two
-// ESM rounds, windowed decoding against the carried round and at most
-// one correction slot (thesis §5.3, Fig 5.9).
-type starLayer struct{ *surface.NinjaStarLayer }
-
-func (l starLayer) window() (int, int, error) {
-	w, err := l.RunWindow(0)
-	return w.CorrectionGates, w.CorrectionSlots, err
-}
-
-func (l starLayer) diagnose() (bool, error) {
-	round, err := l.RunESMRound(0)
-	return round.A == 0 && round.B == 0, err
-}
-
-func (l starLayer) probe(et ErrorType) (int, error) {
-	if et == LogicalZ {
-		return l.ProbeXL(0)
-	}
-	return l.ProbeZL(0)
-}
-
-// newQECLayer builds cfg's QEC layer on top of below.
-func newQECLayer(cfg LERConfig, below qpdo.Core) qecLayer {
-	if cfg.Code == CodeSteane {
-		return steaneLayer{steane.NewLayer(below)}
-	}
-	return starLayer{surface.NewNinjaStarLayer(below, surface.Config{
-		Ancilla:     surface.AncillaDedicated,
-		InitRounds:  cfg.InitRounds,
-		DecoderRule: cfg.DecoderRule,
-	})}
-}
-
 // lerStack bundles the layers of the Fig 5.8 test stack.
 type lerStack struct {
 	top        qecLayer
@@ -262,9 +242,10 @@ type lerStack struct {
 
 // buildStack assembles: QEC layer → counter → [pauli frame] → counter →
 // error → chp, with cfg's code on top — the ninja star for SC17, one
-// Steane block for Steane (the bottom counter of Fig 5.8 is omitted: its
-// stream is identical to the error layer's input plus injected errors,
-// which the error layer already counts).
+// Steane block for Steane, the distance-d plane, or two stars for the
+// computation (the bottom counter of Fig 5.8 is omitted: its stream is
+// identical to the error layer's input plus injected errors, which the
+// error layer already counts).
 func buildStack(cfg LERConfig) (*lerStack, error) {
 	model := cfg.model()
 	if err := model.Validate(); err != nil {
@@ -281,8 +262,8 @@ func buildStack(cfg LERConfig) (*lerStack, error) {
 		below = s.pf
 	}
 	s.counterTop = layers.NewCounterLayer(below)
-	s.top = newQECLayer(cfg, s.counterTop)
-	if err := s.top.CreateQubits(1); err != nil {
+	var err error
+	if s.top, err = newQECLayer(cfg, s.counterTop); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -293,11 +274,12 @@ func buildStack(cfg LERConfig) (*lerStack, error) {
 // buildStack exactly (one master RNG seeded by cfg.Seed, first child for
 // the CHP core, second for the error layer), so a reused stack is
 // bit-identical to a fresh one. The QEC layer needs no explicit reset:
-// the protocol's initial Prep re-establishes its state — for the ninja
-// star rotation, dance mode, decoder carries and logical state (its
-// cached ESM circuits are pure functions of the fixed geometry), for a
-// Steane block the codespace projection and the two-round decode
-// history.
+// the protocol's initial logical reset re-establishes its state — for
+// the ninja star rotation, dance mode, decoder carries and logical state
+// (its cached ESM circuits are pure functions of the fixed geometry),
+// for a Steane block the codespace projection and the two-round decode
+// history, for the plane its data qubits and decoder carries, for the
+// two-star computation both stars and the restart count.
 func (s *lerStack) reset(cfg LERConfig) error {
 	model := cfg.model()
 	if err := model.Validate(); err != nil {
@@ -327,8 +309,9 @@ func (cfg LERConfig) model() layers.Model {
 
 // stackPool hands one reusable stack to each Monte-Carlo worker. The
 // pooled stacks must share the structural configuration (Code,
-// WithPauliFrame, InitRounds, DecoderRule); per-run fields (PER, Seed,
-// Model) are applied by reset.
+// Distance, WithPauliFrame, InitRounds, DecoderRule; InitRounds and
+// DecoderRule apply to SC17 only); per-run fields (PER, Seed, Model)
+// are applied by reset.
 type stackPool struct {
 	stacks []*lerStack
 }
@@ -362,6 +345,9 @@ func (p *stackPool) run(w int, cfg LERConfig) (LERResult, error) {
 // whose noiseless reference is seeded by cfg.Seed.
 func RunLER(cfg LERConfig) (LERResult, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.check(); err != nil {
+		return LERResult{}, err
+	}
 	if cfg.Engine != EngineStack {
 		e, err := newFrameEngine(cfg)
 		if err != nil {
@@ -385,13 +371,8 @@ func RunLER(cfg LERConfig) (LERResult, error) {
 func runLER(cfg LERConfig, s *lerStack) (LERResult, error) {
 	top := s.top
 	// Noiseless initialization (bypass mode).
-	init := circuit.New().Add(gates.Prep, 0)
-	if cfg.ErrorType == LogicalZ {
-		init.Add(gates.H, 0) // |+⟩_L: both codes' logical H
-	}
-	if err := qpdo.WithBypass(top, func() error {
-		_, err := qpdo.Run(top, init)
-		return err
+	if err := qpdo.WithBypass(s.counterTop, func() error {
+		return top.reset(cfg.ErrorType)
 	}); err != nil {
 		return LERResult{}, err
 	}
@@ -399,18 +380,18 @@ func runLER(cfg LERConfig, s *lerStack) (LERResult, error) {
 	expected := 0
 	var res LERResult
 	for res.LogicalErrors < cfg.MaxLogicalErrors && res.Windows < cfg.MaxWindows {
-		g, slots, err := top.window()
+		g, slots, windows, err := top.window()
 		if err != nil {
 			return res, err
 		}
 		res.CorrectionGates += g
 		res.CorrectionSlots += slots
-		res.Windows++
+		res.Windows += windows
 
 		// Diagnostics in bypass mode: an error-free ESM round reveals
 		// observable errors; only a clean state is probed for a logical
 		// error (thesis §5.3, Listing 5.7).
-		if err := qpdo.WithBypass(top, func() error {
+		if err := qpdo.WithBypass(s.counterTop, func() error {
 			clean, err := top.diagnose()
 			if err != nil || !clean {
 				return err // !clean: observable physical errors remain

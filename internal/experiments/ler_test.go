@@ -38,6 +38,37 @@ func TestRunLERRejectsNaNRate(t *testing.T) {
 	}
 }
 
+// TestRunLERRejectsWhatTheCodeCannotRun: the surface plane and the
+// two-star computation run on the stack only and count logical X errors
+// only, and Distance belongs to the plane. Each mismatch is an error
+// before any run, never a silent SC17 run or a run at another distance.
+func TestRunLERRejectsWhatTheCodeCannotRun(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  LERConfig
+	}{
+		{"surface/framesim", LERConfig{Engine: EngineFrameSim, Code: CodeSurface}},
+		{"surface/sparse", LERConfig{Engine: EngineSparse, Code: CodeSurface}},
+		{"computation/framesim", LERConfig{Engine: EngineFrameSim, Code: CodeComputation}},
+		{"computation/sparse", LERConfig{Engine: EngineSparse, Code: CodeComputation}},
+		{"surface/logical-z", LERConfig{Code: CodeSurface, ErrorType: LogicalZ}},
+		{"computation/logical-z", LERConfig{Code: CodeComputation, ErrorType: LogicalZ}},
+		{"sc17/distance", LERConfig{Distance: 3}},
+		{"sc17-framesim/distance", LERConfig{Engine: EngineFrameSim, Distance: 5}},
+		{"steane/distance", LERConfig{Code: CodeSteane, Distance: 3}},
+		{"computation/distance", LERConfig{Code: CodeComputation, Distance: 3}},
+		{"surface/even-distance", LERConfig{Code: CodeSurface, Distance: 4}},
+		{"surface/negative-distance", LERConfig{Code: CodeSurface, Distance: -3}},
+	}
+	for _, tc := range cases {
+		cfg := tc.cfg
+		cfg.PER, cfg.MaxWindows, cfg.MaxLogicalErrors, cfg.Seed = 1e-3, 5, 1, 1
+		if r, err := RunLER(cfg); err == nil {
+			t.Errorf("%s: accepted, got %+v", tc.name, r)
+		}
+	}
+}
+
 func TestRunLERScalesQuadratically(t *testing.T) {
 	// Below the pseudo-threshold the d=3 code suppresses errors like p²;
 	// compare LER at two rates differing by 3× and require superlinear

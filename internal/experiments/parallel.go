@@ -151,44 +151,19 @@ func (c *progressCollector) close() {
 	<-c.done
 }
 
-// RunGenericLERSweep runs the distance-scaling study (cmd/dsweep) with
-// one worker per distance, seeding distance d with
-// ShardSeed(cfg.Seed, d, 0). Results are ordered like distances.
-func RunGenericLERSweep(cfg GenericLERConfig, distances []int) ([]LERResult, error) {
-	out := make([]LERResult, len(distances))
-	err := forEachShard(len(distances), resolveWorkers(cfg.Workers), func(i int) error {
-		c := cfg
-		c.Distance = distances[i]
-		c.Seed = ShardSeed(cfg.Seed, distances[i], 0)
-		r, err := RunGenericLER(c)
-		if err != nil {
-			return err
-		}
+// RunLERs runs every configuration through RunLER on a pool of at most
+// workers goroutines (zero means runtime.GOMAXPROCS(0)) and returns the
+// results in cfgs' order. Each run builds its own stack and draws only
+// from its own Seed, so the results do not depend on the worker count.
+func RunLERs(cfgs []LERConfig, workers int) ([]LERResult, error) {
+	out := make([]LERResult, len(cfgs))
+	err := forEachShard(len(cfgs), resolveWorkers(workers), func(i int) error {
+		r, err := RunLER(cfgs[i])
 		out[i] = r
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// RunComputationLERPair runs the two-star computation experiment with
-// and without a Pauli frame concurrently (cmd/compute), seeding the
-// configurations with ShardSeed(cfg.Seed, 0, 0) and ShardSeed(cfg.Seed,
-// 1, 0) so either result is independent of the worker count.
-func RunComputationLERPair(cfg ComputationLERConfig) (without, with LERResult, err error) {
-	var out [2]LERResult
-	err = forEachShard(2, resolveWorkers(cfg.Workers), func(i int) error {
-		c := cfg
-		c.WithPauliFrame = i == 1
-		c.Seed = ShardSeed(cfg.Seed, i, 0)
-		r, err := RunComputationLER(c)
-		if err != nil {
-			return err
-		}
-		out[i] = r
-		return nil
-	})
-	return out[0], out[1], err
 }

@@ -187,49 +187,37 @@ func TestNegativeSamplesAreEmptyNotPanic(t *testing.T) {
 	}
 }
 
-func TestRunComputationLERPairDeterministicAcrossWorkers(t *testing.T) {
+// TestRunLERsDeterministicAcrossWorkers: RunLERs over plane runs at
+// d = 3, 3, 5 and the two-star computation with the frame off and on,
+// seeded like cmd/dsweep and cmd/compute, returns the same results for
+// any worker count, and a repeated configuration reproduces its result.
+func TestRunLERsDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two-star computation runs skipped in -short mode")
+		t.Skip("distance sweep and two-star computation runs skipped in -short mode")
 	}
-	cfg := ComputationLERConfig{PER: 3e-3, MaxLogicalErrors: 2, MaxWindows: 20000, Seed: 5}
-	cfg.Workers = 1
-	w1, p1, err := RunComputationLERPair(cfg)
+	cfgs := planeSweep(LERConfig{PER: 5e-3, MaxLogicalErrors: 2, MaxWindows: 5000}, 11, 3, 3, 5)
+	for i, pf := range []bool{false, true} {
+		cfgs = append(cfgs, LERConfig{
+			Code: CodeComputation, PER: 3e-3, WithPauliFrame: pf,
+			MaxLogicalErrors: 2, MaxWindows: 20000, Seed: ShardSeed(5, i, 0),
+		})
+	}
+	serial, err := RunLERs(cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 2
-	w2, p2, err := RunComputationLERPair(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w1 != w2 || p1 != p2 {
-		t.Fatalf("pair diverged across worker counts:\n%+v vs %+v\n%+v vs %+v", w1, w2, p1, p2)
-	}
-	if w1.Windows == 0 || p1.Windows == 0 {
-		t.Fatal("degenerate computation runs")
-	}
-}
-
-func TestRunGenericLERSweepDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distance sweep skipped in -short mode")
-	}
-	cfg := GenericLERConfig{PER: 5e-3, MaxLogicalErrors: 2, MaxWindows: 5000, Seed: 11}
-	cfg.Workers = 1
-	serial, err := RunGenericLERSweep(cfg, []int{3, 3, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 4
-	parallel, err := RunGenericLERSweep(cfg, []int{3, 3, 5})
+	parallel, err := RunLERs(cfgs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("generic sweep diverged across worker counts:\n%+v\n%+v", serial, parallel)
+		t.Fatalf("runs diverged across worker counts:\n%+v\n%+v", serial, parallel)
 	}
 	// Same distance, same base seed → same shard seed → identical runs.
 	if serial[0] != serial[1] {
 		t.Error("repeated distance should reproduce the identical result")
+	}
+	if serial[3].Windows == 0 || serial[4].Windows == 0 {
+		t.Fatal("degenerate computation runs")
 	}
 }

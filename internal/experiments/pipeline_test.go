@@ -69,6 +69,10 @@ func TestSpecValidate(t *testing.T) {
 		{PERs: []float64{1e-3}, ErrorType: "y"},
 		{PERs: []float64{1e-3}, Code: "sc17"},
 		{PERs: []float64{1e-3}, Code: "Steane"},
+		{PERs: []float64{1e-3}, Code: CodeNameSurface},
+		{PERs: []float64{1e-3}, Code: CodeNameComputation},
+		SpecOf(SweepConfig{Code: CodeSurface, PERs: []float64{1e-3}}),
+		SpecOf(SweepConfig{Code: CodeComputation, PERs: []float64{1e-3}}),
 		{PERs: nil},
 		{PERs: []float64{0}},
 		{PERs: []float64{1.5}},

@@ -18,10 +18,16 @@ const (
 	EngineNameSparse   = "sparse"
 )
 
-// CodeNameSteane is the serialized name of the Steane code. SC17 is
-// spelled as the empty string, so an SC17 spec or shard carries no code
-// field at all.
-const CodeNameSteane = "steane"
+// Code names used in serialized specs. SC17 is spelled as the empty
+// string, so an SC17 spec or shard carries no code field at all. The
+// surface plane and the two-star computation have names only so that
+// Validate can reject them: they run on the stack, one run at a time,
+// through RunLER.
+const (
+	CodeNameSteane      = "steane"
+	CodeNameSurface     = "surface"
+	CodeNameComputation = "computation"
+)
 
 // MaxShards caps the shard count of a spec. Every run sizes its
 // per-shard slices up front, so an unbounded count lets one request
@@ -84,8 +90,13 @@ func SpecOf(cfg SweepConfig) Spec {
 		et = "z"
 	}
 	code := ""
-	if cfg.Code == CodeSteane {
+	switch cfg.Code {
+	case CodeSteane:
 		code = CodeNameSteane
+	case CodeSurface:
+		code = CodeNameSurface
+	case CodeComputation:
+		code = CodeNameComputation
 	}
 	return Spec{
 		Engine:           cfg.Engine.String(),
@@ -204,6 +215,8 @@ func (s Spec) Validate() error {
 	}
 	switch s.Code {
 	case "", CodeNameSteane:
+	case CodeNameSurface, CodeNameComputation:
+		return fmt.Errorf("spec: code %q runs only on the stack engine, one run at a time through RunLER, not in a sweep", s.Code)
 	default:
 		return fmt.Errorf("spec: unknown code %q (want %s, or no code for SC17)", s.Code, CodeNameSteane)
 	}
