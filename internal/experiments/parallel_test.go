@@ -187,21 +187,45 @@ func TestNegativeSamplesAreEmptyNotPanic(t *testing.T) {
 	}
 }
 
-// TestRunLERsDeterministicAcrossWorkers: RunLERs over plane runs at
-// d = 3, 3, 5 and the two-star computation with the frame off and on,
-// seeded like cmd/dsweep and cmd/compute, returns the same results for
-// any worker count, and a repeated configuration reproduces its result.
-func TestRunLERsDeterministicAcrossWorkers(t *testing.T) {
+// TestRunComputationLERPairDeterministicAcrossWorkers: RunLERs over
+// the two-star computation with the frame off and on, seeded like
+// cmd/compute, returns the same pair for any worker count.
+func TestRunComputationLERPairDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("distance sweep and two-star computation runs skipped in -short mode")
+		t.Skip("two-star computation runs skipped in -short mode")
 	}
-	cfgs := planeSweep(LERConfig{PER: 5e-3, MaxLogicalErrors: 2, MaxWindows: 5000}, 11, 3, 3, 5)
+	var cfgs []LERConfig
 	for i, pf := range []bool{false, true} {
 		cfgs = append(cfgs, LERConfig{
 			Code: CodeComputation, PER: 3e-3, WithPauliFrame: pf,
 			MaxLogicalErrors: 2, MaxWindows: 20000, Seed: ShardSeed(5, i, 0),
 		})
 	}
+	r1, err := RunLERs(cfgs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := RunLERs(cfgs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, p1, w2, p2 := r1[0], r1[1], r2[0], r2[1]
+	if w1 != w2 || p1 != p2 {
+		t.Fatalf("pair diverged across worker counts:\n%+v vs %+v\n%+v vs %+v", w1, w2, p1, p2)
+	}
+	if w1.Windows == 0 || p1.Windows == 0 {
+		t.Fatal("degenerate computation runs")
+	}
+}
+
+// TestRunGenericLERSweepDeterministicAcrossWorkers: RunLERs over plane
+// runs at d = 3, 3, 5, seeded like cmd/dsweep, returns the same results
+// for any worker count, and a repeated distance reproduces its result.
+func TestRunGenericLERSweepDeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distance sweep skipped in -short mode")
+	}
+	cfgs := planeSweep(LERConfig{PER: 5e-3, MaxLogicalErrors: 2, MaxWindows: 5000}, 11, 3, 3, 5)
 	serial, err := RunLERs(cfgs, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -211,13 +235,10 @@ func TestRunLERsDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("runs diverged across worker counts:\n%+v\n%+v", serial, parallel)
+		t.Fatalf("generic sweep diverged across worker counts:\n%+v\n%+v", serial, parallel)
 	}
 	// Same distance, same base seed → same shard seed → identical runs.
 	if serial[0] != serial[1] {
 		t.Error("repeated distance should reproduce the identical result")
-	}
-	if serial[3].Windows == 0 || serial[4].Windows == 0 {
-		t.Fatal("degenerate computation runs")
 	}
 }
