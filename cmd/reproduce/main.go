@@ -3,7 +3,7 @@
 // verification (listings and truth tables), the LER study with and
 // without a Pauli frame, the statistics series, the savings counters
 // and the analytic Eq. 5.12 bound at d = 3, 5 and 11. It runs no
-// distance-d simulation: cmd/dsweep does.
+// distance-d simulation: lersweep dsweep does.
 //
 //	reproduce -scale quick -o report.md      # minutes
 //	reproduce -scale thesis -o report.md     # hours, thesis-sized runs
@@ -24,6 +24,7 @@ import (
 	"repro/internal/qpdo"
 	"repro/internal/randcirc"
 	"repro/internal/statevec"
+	"repro/internal/stats"
 	"repro/internal/surface"
 )
 
@@ -45,22 +46,35 @@ func main() {
 	engineName := flag.String("engine", "stack", "LER-study engine: stack (QPDO oracle), framesim (bit-sliced, ~80x faster) or sparse (gap-skipping, fastest at low PER)")
 	lanes := flag.Int("lanes", 1, "frame-engine batch width in 64-shot words (1, 2, 4 or 8); identical results at every width")
 	flag.Parse()
+	// Check every flag before any work: the sweep's engine, lanes and
+	// sizes through Spec.Validate, the rest by hand.
 	sc, ok := scales[*scaleName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "reproduce: unknown scale %q\n", *scaleName)
-		os.Exit(2)
-	}
 	engine, err := experiments.ParseEngine(*engineName)
+	cfg := experiments.SweepConfig{
+		Engine:           engine,
+		PERs:             experiments.LogSpace(1e-4, 1e-2, sc.points),
+		Samples:          sc.samples,
+		MaxLogicalErrors: sc.errors,
+		MaxWindows:       sc.maxWindows,
+		BaseSeed:         *seed,
+		Lanes:            *lanes,
+		Workers:          *workers,
+		Progress: func(i int, per float64) {
+			fmt.Fprintf(os.Stderr, "  LER point %d/%d (PER=%.2e)\n", i+1, sc.points, per)
+		},
+	}
+	switch {
+	case flag.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", flag.Arg(0))
+	case !ok:
+		err = fmt.Errorf("unknown scale %q (want smoke, quick or thesis)", *scaleName)
+	case *workers < 0:
+		err = fmt.Errorf("-workers must be >= 0, got %d", *workers)
+	case err == nil:
+		_, err = experiments.SpecOf(cfg).SweepConfig()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		os.Exit(2)
-	}
-	if *lanes != 1 && *lanes != 2 && *lanes != 4 && *lanes != 8 {
-		fmt.Fprintf(os.Stderr, "reproduce: -lanes must be 1, 2, 4 or 8, got %d\n", *lanes)
-		os.Exit(2)
-	}
-	if *lanes > 1 && engine == experiments.EngineStack {
-		fmt.Fprintln(os.Stderr, "reproduce: -lanes needs a frame engine (-engine framesim or sparse)")
 		os.Exit(2)
 	}
 
@@ -123,19 +137,7 @@ func main() {
 
 	// 3. LER study.
 	status("LER sweeps (this is the long part)")
-	pair, err := experiments.RunPairedSweeps(experiments.SweepConfig{
-		Engine:           engine,
-		PERs:             experiments.LogSpace(1e-4, 1e-2, sc.points),
-		Samples:          sc.samples,
-		MaxLogicalErrors: sc.errors,
-		MaxWindows:       sc.maxWindows,
-		BaseSeed:         *seed,
-		Lanes:            *lanes,
-		Workers:          *workers,
-		Progress: func(i int, per float64) {
-			fmt.Fprintf(os.Stderr, "  LER point %d/%d (PER=%.2e)\n", i+1, sc.points, per)
-		},
-	})
+	pair, err := experiments.RunPairedSweeps(cfg)
 	must(err)
 	fmt.Fprintf(&b, "## LER study (thesis §5.3, Figs 5.11-5.16)\n\n")
 	fmt.Fprintf(&b, "```\n%s\n%s```\n", experiments.Table(pair.Without, "without Pauli frame"),
@@ -160,7 +162,7 @@ func main() {
 	fmt.Fprintf(&b, "## Savings and bound (Figs 5.25-5.27)\n\n")
 	last := pair.With[len(pair.With)-1]
 	fmt.Fprintf(&b, "- at PER %.0e the frame saved %.2f%% of gates and %.2f%% of slots (ceiling 5.9%%)\n",
-		last.PER, 100*meanOf(last.GatesSaved), 100*meanOf(last.SlotsSaved))
+		last.PER, 100*stats.Mean(last.GatesSaved), 100*stats.Mean(last.SlotsSaved))
 	fmt.Fprintf(&b, "- Eq. 5.12 bound: d=3 %.2f%%, d=5 %.2f%%, d=11 %.2f%%\n\n",
 		100*experiments.UpperBoundRelativeImprovement(3, 8),
 		100*experiments.UpperBoundRelativeImprovement(5, 8),
@@ -190,17 +192,6 @@ func esmOK() bool {
 	}
 	c := st.ESMCircuit()
 	return c.NumSlots() == 8 && c.NumOps() == 48 && c.Validate() == nil
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 func okStr(ok bool) string {

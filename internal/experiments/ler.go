@@ -561,12 +561,14 @@ func LogSpace(lo, hi float64, n int) []float64 {
 
 // UpperBoundRelativeImprovement evaluates thesis Eq. 5.12: the maximum
 // relative LER improvement a Pauli frame can deliver for a surface code
-// of distance d with tsESM time slots per ESM round.
+// of distance d with tsESM time slots per ESM round. The denominator
+// (d−1)·tsESM+1 is computed in float64, so a huge tsESM gives a tiny
+// bound instead of overflowing an int.
 func UpperBoundRelativeImprovement(d, tsESM int) float64 {
 	if d < 2 || tsESM < 1 {
 		return math.NaN()
 	}
-	return 1 / float64((d-1)*tsESM+1)
+	return 1 / (float64(d-1)*float64(tsESM) + 1)
 }
 
 // WindowTimeSlots returns tswindow of thesis Eq. 5.6-5.9 for distance d:

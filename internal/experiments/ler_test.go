@@ -242,6 +242,9 @@ func TestUpperBound(t *testing.T) {
 	if b := UpperBoundRelativeImprovement(5, 8); b > 0.031 {
 		t.Errorf("bound(5,8) = %v, should drop below 3%% (thesis Fig 5.27)", b)
 	}
+	if b := UpperBoundRelativeImprovement(5, 1<<62); !(b > 0 && b < 1e-18) {
+		t.Errorf("bound(5, 2^62) = %v, want a positive value below 1e-18 ((d−1)·tsESM+1 must not overflow)", b)
+	}
 	if !math.IsNaN(UpperBoundRelativeImprovement(1, 8)) {
 		t.Error("degenerate distance should give NaN")
 	}

@@ -5,7 +5,7 @@ import "repro/internal/pauli"
 // Batch is a bit-sliced Pauli error frame for up to 64·W Monte-Carlo
 // shots: for every qubit W uint64 words hold the X components of all
 // shots (word k bit j = shot 64k+j) and W words the Z components. This
-// is the same object as core.BitFrame — a sign-free F₂ symplectic Pauli
+// is the same object as core.Frame — a sign-free F₂ symplectic Pauli
 // frame — but sliced across shots instead of qubits, so one Clifford
 // conjugation rule of thesis Tables 3.4–3.5 updates 64·W independent
 // trajectories with a handful of word operations.
@@ -50,8 +50,9 @@ func (b *Batch) Reset() {
 	}
 }
 
-// The conjugation kernels below mirror core.BitFrame bit for bit (the
-// property test drives the two against each other record-by-record).
+// The conjugation kernels below mirror core.Frame bit for bit
+// (TestBatchMatchesFrame drives the two against each other
+// record-by-record).
 // Pauli gates are absent by design: a Pauli applied physically in both
 // the reference and the shots commutes through the frame unchanged, and
 // Pauli *errors* enter via XorX/XorZ.
@@ -186,7 +187,7 @@ func (b *Batch) ClearQubit(q int) {
 
 // Record extracts the Pauli record of qubit q in shot lane j (a global
 // lane index, 0..64·W-1: word j/64, bit j%64), for comparison against
-// core.BitFrame in the width-1 property test and its wide extension.
+// core.Frame in TestBatchMatchesFrame and TestSparseScriptedMatchesCoreFrame.
 func (b *Batch) Record(q, j int) pauli.Record {
 	o := q*b.w + j>>6
 	bit := uint64(1) << uint(j&63)

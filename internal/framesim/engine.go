@@ -9,7 +9,7 @@
 // The reference is computed once on the CHP tableau; after that each shot
 // is just an X/Z frame bit-pair per qubit, and 64 shots pack into one
 // uint64 word per plane — the conjugation rules of thesis Tables 3.2–3.5
-// become word ops (exactly core.BitFrame, sliced across shots instead of
+// become word ops (exactly core.Frame, sliced across shots instead of
 // qubits). A batch may carry W ∈ {1..8} such words per plane (64·W shots
 // per propagate pass); every 64-shot word is an independent run with its
 // own seed, RNG and channel samplers, so lane word k of a W-wide run is
