@@ -30,6 +30,21 @@ func main() {
 	workers := flag.Int("workers", 1, "state-vector kernel goroutines (0 = all CPUs); results are identical for any value")
 	verbose := flag.Bool("v", false, "print the example states of the first iteration (Listings 5.3-5.6)")
 	flag.Parse()
+	// Check every flag before any work: a usage error exits 2.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "pfverify: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	switch {
+	case flag.NArg() > 0:
+		usage("unexpected argument %q", flag.Arg(0))
+	case *iters < 1 || *bellIters < 1:
+		usage("-iters and -belliters must be >= 1, got %d and %d", *iters, *bellIters)
+	case *qubits < 1 || *qubits > 30:
+		usage("-qubits must be in 1..30 (the state-vector range), got %d", *qubits)
+	case *ngates < 0 || *workers < 0:
+		usage("-gates and -workers must be >= 0, got %d and %d", *ngates, *workers)
+	}
 
 	if *bell {
 		runOddBell(*bellIters, *seed, *workers)

@@ -35,6 +35,25 @@ func main() {
 	showState := flag.Bool("state", false, "print the final quantum state (qx core flushes the frame first)")
 	tb := flag.String("tb", "", "run a ready-made test bench instead of a program: bell or gates (thesis §4.2.4)")
 	flag.Parse()
+	// Check every flag before any work: a usage error exits 2.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "qpdo: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	switch {
+	case *shots < 1:
+		usage("-shots must be >= 1, got %d", *shots)
+	case !(*per >= 0 && *per <= 1):
+		usage("-per must be in [0, 1], got %v", *per)
+	case *coreKind != "qx" && *coreKind != "chp":
+		usage("unknown core %q (want qx or chp)", *coreKind)
+	case *tb != "" && *tb != "bell" && *tb != "gates":
+		usage("unknown test bench %q (want bell or gates)", *tb)
+	case *tb != "" && (*per > 0 || flag.NArg() > 0):
+		usage("-tb runs a ready-made bench: it takes neither -per nor a program")
+	case flag.NArg() > 1:
+		usage("at most one program path, got %d arguments", flag.NArg())
+	}
 
 	if *tb != "" {
 		runBench(*tb, *coreKind, *usePF, *shots, *seed)
@@ -56,17 +75,8 @@ func main() {
 
 	counts := map[string]int{}
 	for shot := 0; shot < *shots; shot++ {
-		rng := rand.New(rand.NewSource(*seed + int64(shot)))
-		var stack qpdo.Core
+		stack := newCore(*coreKind, rand.New(rand.NewSource(*seed+int64(shot))))
 		var pf *layers.PauliFrameLayer
-		switch *coreKind {
-		case "qx":
-			stack = layers.NewQxCore(rng)
-		case "chp":
-			stack = layers.NewChpCore(rng)
-		default:
-			check(fmt.Errorf("unknown core %q", *coreKind))
-		}
 		if *per > 0 {
 			stack = layers.NewErrorLayer(stack, *per, rand.New(rand.NewSource(*seed+int64(1000+shot))))
 		}
@@ -109,40 +119,34 @@ func main() {
 	}
 }
 
-// runBench executes one of the thesis' ready-to-use test benches against
-// the configured stack.
+// runBench executes one of the thesis' ready-to-use test benches, bell
+// or gates, against the configured stack.
 func runBench(kind, coreKind string, usePF bool, shots int, seed int64) {
 	factory := func(it int) (qpdo.Core, error) {
-		rng := rand.New(rand.NewSource(seed + int64(it)))
-		var stack qpdo.Core
-		switch coreKind {
-		case "qx":
-			stack = layers.NewQxCore(rng)
-		case "chp":
-			stack = layers.NewChpCore(rng)
-		default:
-			return nil, fmt.Errorf("unknown core %q", coreKind)
-		}
+		stack := newCore(coreKind, rand.New(rand.NewSource(seed+int64(it))))
 		if usePF {
 			stack = layers.NewPauliFrameLayer(stack)
 		}
 		return stack, nil
 	}
-	var bench testbench.Bench
-	switch kind {
-	case "bell":
-		bench = testbench.NewBellStateHisto()
-	case "gates":
+	var bench testbench.Bench = testbench.NewBellStateHisto()
+	if kind == "gates" {
 		bench = testbench.NewGateSupport()
 		shots = 1
-	default:
-		check(fmt.Errorf("unknown test bench %q", kind))
 	}
 	check(testbench.Run(bench, factory, shots))
 	fmt.Print(bench.Report())
 	if !bench.Passed() {
 		os.Exit(1)
 	}
+}
+
+// newCore builds the simulation core named by kind, qx or chp.
+func newCore(kind string, rng *rand.Rand) qpdo.Core {
+	if kind == "chp" {
+		return layers.NewChpCore(rng)
+	}
+	return layers.NewQxCore(rng)
 }
 
 func check(err error) {

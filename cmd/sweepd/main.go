@@ -160,7 +160,7 @@ func cmdServe(args []string) (err error) {
 	case *maxBytes < 0:
 		return usageError(fmt.Sprintf("serve: -store-max-bytes must be >= 0, got %d", *maxBytes))
 	}
-	dispatch, err := dispatchOptions(fs, *peers, *batch, *inflight, *retries, *timeout, *backoff, *workers)
+	dispatch, err := dispatchOptions(fs, *peers, *batch, *inflight, *retries, *timeout, *backoff)
 	if err != nil {
 		return err
 	}
@@ -216,7 +216,7 @@ func cmdServe(args []string) (err error) {
 // dispatch tuning flag set on the command line is a contradiction worth
 // rejecting rather than ignoring.
 func dispatchOptions(fs *flag.FlagSet, peers string, batch, inflight, retries int,
-	timeout, backoff time.Duration, workers int) (*sweepserve.DispatchOptions, error) {
+	timeout, backoff time.Duration) (*sweepserve.DispatchOptions, error) {
 	if peers == "" {
 		var stray string
 		fs.Visit(func(f *flag.Flag) {
@@ -234,13 +234,12 @@ func dispatchOptions(fs *flag.FlagSet, peers string, batch, inflight, retries in
 		return nil, usageError(fmt.Sprintf("serve: -peers: %v", err))
 	}
 	opt := sweepserve.DispatchOptions{
-		Peers:        list,
-		BatchSize:    batch,
-		InFlight:     inflight,
-		Retries:      retries,
-		Timeout:      timeout,
-		Backoff:      backoff,
-		LocalWorkers: workers,
+		Peers:     list,
+		BatchSize: batch,
+		InFlight:  inflight,
+		Retries:   retries,
+		Timeout:   timeout,
+		Backoff:   backoff,
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, usageError(fmt.Sprintf("serve: %v", err))

@@ -168,7 +168,7 @@ func TestLongResponsesOutliveReadTimeout(t *testing.T) {
 		}
 		worker.ServeHTTP(w, r)
 	}))
-	d, err := sweepserve.NewDispatcher(sweepserve.DispatchOptions{Peers: []string{peer}, LocalWorkers: 1})
+	d, err := sweepserve.NewDispatcher(sweepserve.DispatchOptions{Peers: []string{peer}})
 	if err != nil {
 		t.Fatal(err)
 	}

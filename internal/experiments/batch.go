@@ -27,10 +27,10 @@ func NormalizeLERRuns(runs []LERResult) {
 
 // RunShardBatch computes the shards of spec named by indices (in any
 // order, any subset) on a bounded worker pool and returns their runs,
-// indexed like indices. Each shard's runs are exactly what RunSpec
-// would compute for it — same engines, same seeds, same bits — so any
-// partition of a sweep's shards across any number of RunShardBatch
-// calls (local or remote) reassembles into the identical fold.
+// indexed like indices. Each shard takes RunSpec's step — same engines,
+// same seeds, same bits — so any partition of a sweep's shards across
+// any number of RunShardBatch calls (local or remote) reassembles into
+// the identical fold.
 //
 // opt.Lookup and opt.Persist have their RunSpec semantics (a worker's
 // local shard cache); opt.Progress is ignored — batches are a shard-
@@ -47,16 +47,6 @@ func RunShardBatch(ctx context.Context, spec Spec, indices []int, opt RunOptions
 			return nil, fmt.Errorf("shard batch: index %d (position %d) out of range [0,%d)", i, k, n)
 		}
 	}
-	out := make([][]LERResult, len(indices))
-	workers := resolveWorkers(opt.Workers)
-	runner := newShardRunner(spec, workers)
-	err := forEachShardWorkerCtx(ctx, len(indices), workers, func(w, k int) error {
-		rs, err := runner.step(w, spec.Shard(indices[k]), opt)
-		out[k] = rs
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	opt.Progress = nil
+	return newShardRunner(spec, opt).round(ctx, indices)
 }

@@ -527,8 +527,8 @@ type SweepConfig struct {
 	// BaseSeed via ShardSeed.
 	Workers int
 	// Progress, when non-nil, receives one call per completed point, in
-	// ascending point order, serialized through a single collector
-	// goroutine (safe to use from the cmd/ tools without locking).
+	// ascending point order, serialized by the pipeline's progress
+	// tracker (safe to use from the cmd/ tools without locking).
 	Progress func(point int, per float64)
 }
 

@@ -109,48 +109,6 @@ func forEachShardWorkerCtx(ctx context.Context, n, workers int, job func(w, i in
 	return ctx.Err()
 }
 
-// progressCollector serializes Progress callbacks through one goroutine
-// and reports points strictly in ascending order: point i is announced
-// once all its samples AND all earlier points are complete, so callers
-// observe the same call sequence whatever the worker count.
-type progressCollector struct {
-	ch   chan int
-	done chan struct{}
-}
-
-func newProgressCollector(pers []float64, samples int, fn func(point int, per float64)) *progressCollector {
-	c := &progressCollector{
-		ch:   make(chan int, len(pers)*samples), // sends never block
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(c.done)
-		remaining := make([]int, len(pers))
-		for i := range remaining {
-			remaining[i] = samples
-		}
-		next := 0
-		for p := range c.ch {
-			remaining[p]--
-			for next < len(pers) && remaining[next] == 0 {
-				fn(next, pers[next])
-				next++
-			}
-		}
-	}()
-	return c
-}
-
-// sampleDone records one finished sample of point p.
-func (c *progressCollector) sampleDone(p int) { c.ch <- p }
-
-// close drains the collector; it returns only after every pending
-// Progress call has completed.
-func (c *progressCollector) close() {
-	close(c.ch)
-	<-c.done
-}
-
 // RunLERs runs every configuration through RunLER on a pool of at most
 // workers goroutines (zero means runtime.GOMAXPROCS(0)) and returns the
 // results in cfgs' order. Each run builds its own stack and draws only

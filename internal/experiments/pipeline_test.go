@@ -269,3 +269,101 @@ func TestRunSpecPersistErrorAborts(t *testing.T) {
 		t.Fatalf("persist failure returned %v, want %v", err, boom)
 	}
 }
+
+// TestRunSpecLookupThenPersist: without Compute, one worker runs a
+// shard's whole step back to back — each computed shard's Lookup is
+// followed directly by its Persist, with no other hook in between — so
+// the interval from a missed Lookup to its Persist times exactly that
+// shard.
+func TestRunSpecLookupThenPersist(t *testing.T) {
+	spec := pipelineTestSpec()
+	type hook struct {
+		name  string
+		index int
+	}
+	var log []hook
+	_, err := RunSpec(context.Background(), spec, RunOptions{
+		Workers:  1,
+		Progress: func(point int, _ float64) { log = append(log, hook{"progress", point}) },
+		Lookup: func(sh Shard) ([]LERResult, bool) {
+			log = append(log, hook{"lookup", sh.Index})
+			return nil, false
+		},
+		Persist: func(sh Shard, _ []LERResult) error {
+			log = append(log, hook{"persist", sh.Index})
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := 0
+	for k, h := range log {
+		if h.name != "lookup" {
+			continue
+		}
+		lookups++
+		if k+1 >= len(log) || log[k+1] != (hook{"persist", h.index}) {
+			t.Fatalf("lookup of shard %d not directly followed by its persist: %v", h.index, log)
+		}
+	}
+	if lookups != spec.NumShards() {
+		t.Fatalf("%d lookups, want %d", lookups, spec.NumShards())
+	}
+}
+
+// TestRunSpecComputeGivesUp: a Compute backend that computes every other
+// lookup miss and hands the rest back still folds identically to a local
+// run, full and adaptive, with every shard persisted once and the points
+// announced in ascending order.
+func TestRunSpecComputeGivesUp(t *testing.T) {
+	adaptive := SpecOf(adaptiveTestConfig(0))
+	adaptive.PERs = []float64{6e-3, 8e-3}
+	for _, spec := range []Spec{pipelineTestSpec(), adaptive} {
+		want, err := RunSpec(context.Background(), spec, RunOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var remote, persisted atomic.Int64
+		var points []int
+		got, err := RunSpec(context.Background(), spec, RunOptions{
+			Workers:  3,
+			Progress: func(point int, _ float64) { points = append(points, point) },
+			Persist:  func(Shard, []LERResult) error { persisted.Add(1); return nil },
+			Compute: func(ctx context.Context, spec Spec, indices []int, done func(int, []LERResult) error) ([]int, error) {
+				var rest []int
+				for k, i := range indices {
+					if k%2 == 1 {
+						rest = append(rest, k)
+						continue
+					}
+					rs, err := RunShardBatch(ctx, spec, []int{i}, RunOptions{Workers: 1})
+					if err != nil {
+						return nil, err
+					}
+					if err := done(k, rs[0]); err != nil {
+						return nil, err
+					}
+					remote.Add(1)
+				}
+				return rest, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: fold with a partial Compute diverged from the local run:\n%+v\n%+v", spec.Engine, got, want)
+		}
+		if !reflect.DeepEqual(points, []int{0, 1}) {
+			t.Errorf("%s: progress points %v, want [0 1]", spec.Engine, points)
+		}
+		samples := 0
+		for _, pt := range got {
+			samples += len(pt.LERs)
+		}
+		if remote.Load() == 0 || persisted.Load() == 0 || samples == 0 {
+			t.Errorf("%s: remote %d, persisted %d, samples %d: want all > 0", spec.Engine, remote.Load(), persisted.Load(), samples)
+		}
+	}
+}

@@ -33,7 +33,7 @@ func benchDispatcher(b *testing.B, peers []string, batch int) *Dispatcher {
 	b.Helper()
 	d, err := NewDispatcher(DispatchOptions{
 		Peers: peers, BatchSize: batch, InFlight: 2, Retries: 1,
-		Timeout: time.Minute, Backoff: time.Millisecond, LocalWorkers: 2,
+		Timeout: time.Minute, Backoff: time.Millisecond,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -57,7 +57,7 @@ func BenchmarkDispatchRemote(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := d.Run(context.Background(), st, spec, nil, nil); err != nil {
+		if _, err := runDispatched(d, st, spec, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -99,13 +99,13 @@ func BenchmarkDispatchWarmCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := d.Run(context.Background(), st, spec, nil, nil); err != nil {
+	if _, err := runDispatched(d, st, spec, nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Run(context.Background(), st, spec, nil, nil); err != nil {
+		if _, err := runDispatched(d, st, spec, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

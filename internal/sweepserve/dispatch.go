@@ -1,16 +1,18 @@
 // The coordinator half of the distributed sweep fan-out: a Dispatcher
-// partitions a job's missing shards into batches and streams them to a
-// configured set of remote workers, pipelined — each peer keeps a
-// bounded number of batches in flight and pulls the next the moment one
-// completes, so a slow peer never stalls the rest of the fleet behind a
-// barrier. Failures degrade, never corrupt: a batch that errors is
-// retried on its peer with exponential backoff, a peer that exhausts
-// its retries is marked dead and its batch requeued for the survivors,
-// and when every peer is dead a local fallback drains the queue with
-// the coordinator's own engine stack. Because every shard's runs are a
-// pure function of its ShardConfig and the fold visits shards in index
-// order, the merged results are byte-identical to a local -workers 1
-// run for any worker set, batch size, or failure interleaving.
+// is the remote compute backend of the sweep pipeline
+// (experiments.RunOptions.Compute). It partitions a round's lookup
+// misses into batches and streams them to a configured set of remote
+// workers, pipelined — each peer keeps a bounded number of batches in
+// flight and pulls the next the moment one completes, so a slow peer
+// never stalls the rest of the fleet behind a barrier. Failures degrade,
+// never corrupt: a batch that errors is retried on its peer with
+// exponential backoff, a peer that exhausts its retries is marked dead
+// and its batch requeued for the survivors, and when every peer is dead
+// the queued shards go back to the pipeline, which computes them on its
+// own pool. Because every shard's runs are a pure function of its
+// ShardConfig and the fold visits shards in index order, the merged
+// results are byte-identical to a local -workers 1 run for any worker
+// set, batch size, or failure interleaving.
 package sweepserve
 
 import (
@@ -62,9 +64,6 @@ type DispatchOptions struct {
 	Timeout time.Duration
 	// Backoff is the first retry delay, doubled per retry (>= 0).
 	Backoff time.Duration
-	// LocalWorkers bounds the local-fallback compute pool. Zero means
-	// GOMAXPROCS.
-	LocalWorkers int
 }
 
 // withDefaults fills the zero-valued tuning knobs.
@@ -117,9 +116,6 @@ func (o DispatchOptions) Validate() error {
 	if o.Backoff < 0 {
 		return fmt.Errorf("dispatch: backoff must be >= 0, got %v", o.Backoff)
 	}
-	if o.LocalWorkers < 0 {
-		return fmt.Errorf("dispatch: local workers must be >= 0, got %d", o.LocalWorkers)
-	}
 	return nil
 }
 
@@ -167,7 +163,9 @@ type DispatchStats struct {
 	Batches      int64
 	Retries      int64
 	PeerFailures int64
-	// RemoteShards / LocalShards split computed shards by where they ran.
+	// RemoteShards / LocalShards split computed shards by where they ran:
+	// LocalShards are those handed back to the pipeline once every peer
+	// was dead.
 	RemoteShards int64
 	LocalShards  int64
 	// InFlight is the number of batch requests currently outstanding.
@@ -209,131 +207,80 @@ func (d *Dispatcher) Stats() DispatchStats {
 	}
 }
 
-// Run executes spec with shard compute fanned out to the worker set,
-// st as the shard cache and checkpoint, progress receiving completed
-// points in ascending order (the SSE contract), and note observing
-// each shard as it resolves (cached reports a store hit). The folded
-// results are byte-identical to a local single-worker run.
-//
-// Adaptive specs (AdaptRelWidth > 0) are rejected: their batch-barrier
-// stop rule is inherently sequential, so the server runs them through
-// the local cached pipeline instead.
-func (d *Dispatcher) Run(ctx context.Context, st *sweepstore.Store, spec experiments.Spec,
-	progress func(point int, per float64), note func(sh experiments.Shard, cached bool)) ([]experiments.PointResult, error) {
-	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// Compute is the pipeline's remote compute backend (assign it to
+// experiments.RunOptions.Compute): it streams the shards named by
+// indices to the worker set in batches and hands every verified shard to
+// done. When every peer is dead it returns the positions still queued,
+// which the pipeline computes on its own pool.
+func (d *Dispatcher) Compute(ctx context.Context, spec experiments.Spec, indices []int,
+	done func(k int, runs []experiments.LERResult) error) ([]int, error) {
+	if len(indices) == 0 {
+		return nil, nil
 	}
-	if spec.AdaptRelWidth > 0 {
-		return nil, fmt.Errorf("dispatch: adaptive sweeps are not distributable (run them through the local pipeline)")
-	}
-	n := spec.NumShards()
-	keys := make([]string, n)
-	for i := range keys {
-		k, err := sweepstore.ShardKey(spec.ShardConfig(spec.Shard(i)))
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = k
-	}
-	runs := make([][]experiments.LERResult, n)
-	tracker := newPointTracker(spec, progress)
-
-	// Resolve cache hits locally first; only the misses travel.
-	var missing []int
-	for i := 0; i < n; i++ {
-		sh := spec.Shard(i)
-		if rs, ok := st.GetShard(keys[i], sh.Count, sh.Seed); ok {
-			runs[i] = rs
-			if note != nil {
-				note(sh, true)
-			}
-			tracker.shardDone(sh.Point)
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 {
-		if err := d.dispatch(ctx, st, spec, keys, missing, runs, tracker, note); err != nil {
-			return nil, err
-		}
-	}
-	out := experiments.FoldShards(spec, runs)
-	tracker.finishDegenerate()
-	return out, nil
-}
-
-// dispatch drains the missing shards through the peer set.
-func (d *Dispatcher) dispatch(ctx context.Context, st *sweepstore.Store, spec experiments.Spec,
-	keys []string, missing []int, runs [][]experiments.LERResult,
-	tracker *pointTracker, note func(sh experiments.Shard, cached bool)) error {
-	var batches [][]int
-	for len(missing) > 0 {
-		size := d.opt.BatchSize
-		if size > len(missing) {
-			size = len(missing)
-		}
-		batches = append(batches, missing[:size])
-		missing = missing[size:]
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
+	size := d.opt.BatchSize
+	nb := (len(indices) + size - 1) / size
+	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	r := &dispatchRun{
-		d: d, st: st, spec: spec, keys: keys, runs: runs,
-		tracker: tracker, note: note,
+		d: d, spec: spec, indices: indices, done: done,
 		// Every batch is either queued or held by exactly one goroutine,
-		// so cap len(batches) makes requeues non-blocking.
-		queue:   make(chan []int, len(batches)),
-		done:    make(chan struct{}),
-		allDead: make(chan struct{}),
-		cancel:  cancel,
+		// so cap nb makes requeues non-blocking.
+		queue:    make(chan batch, nb),
+		finished: make(chan struct{}),
+		cancel:   cancel,
 	}
-	r.pending.Store(int64(len(batches)))
-	for _, b := range batches {
-		r.queue <- b
+	r.pending.Store(int64(nb))
+	for lo := 0; lo < len(indices); lo += size {
+		r.queue <- batch{lo, min(lo+size, len(indices))}
 	}
-	r.alive.Store(int64(len(d.opt.Peers)))
 
 	var wg sync.WaitGroup
 	for _, peer := range d.opt.Peers {
 		ps := &peerState{run: r, url: peer}
 		for slot := 0; slot < d.opt.InFlight; slot++ {
 			wg.Add(1)
-			go ps.loop(ctx, &wg)
+			go ps.loop(runCtx, &wg)
 		}
 	}
-	wg.Add(1)
-	go r.localLoop(ctx, &wg)
 	wg.Wait()
 
 	if err := r.loadErr(); err != nil {
-		return err
+		return nil, err
 	}
-	if r.pending.Load() != 0 {
-		// Only a cancelled parent context leaves batches behind.
-		return context.Cause(ctx)
+	if r.pending.Load() == 0 {
+		return nil, nil
 	}
-	return nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// The peer loops stop early only when every peer is dead.
+	var rest []int
+	for len(r.queue) > 0 {
+		b := <-r.queue
+		for k := b.lo; k < b.hi; k++ {
+			rest = append(rest, k)
+		}
+	}
+	d.localShards.Add(int64(len(rest)))
+	return rest, nil
 }
 
-// dispatchRun is the per-sweep dispatch state shared by the peer slots
-// and the local fallback.
+// batch is one dispatched unit: the positions lo..hi-1 of a Compute
+// call's indices.
+type batch struct{ lo, hi int }
+
+// dispatchRun is the dispatch state of one Compute call, shared by the
+// peer slots.
 type dispatchRun struct {
 	d       *Dispatcher
-	st      *sweepstore.Store
 	spec    experiments.Spec
-	keys    []string
-	runs    [][]experiments.LERResult
-	tracker *pointTracker
-	note    func(sh experiments.Shard, cached bool)
+	indices []int
+	done    func(k int, runs []experiments.LERResult) error
 
-	queue   chan []int
-	pending atomic.Int64
-	done    chan struct{} // closed when pending hits zero
-	alive   atomic.Int64
-	allDead chan struct{} // closed when the last peer dies
-	cancel  context.CancelFunc
+	queue    chan batch
+	pending  atomic.Int64
+	finished chan struct{} // closed when pending hits zero
+	cancel   context.CancelFunc
 
 	errMu sync.Mutex
 	err   error
@@ -357,62 +304,46 @@ func (r *dispatchRun) loadErr() error {
 
 // requeue puts a batch back for another holder. The queue is sized for
 // every batch, so this never blocks.
-func (r *dispatchRun) requeue(batch []int) { r.queue <- batch }
+func (r *dispatchRun) requeue(b batch) { r.queue <- b }
 
-// batchDone retires one batch; the last one releases every loop.
-func (r *dispatchRun) batchDone() {
-	if r.pending.Add(-1) == 0 {
-		close(r.done)
-	}
-}
-
-// peerDied marks one peer dead; the last death wakes the local
-// fallback.
-func (r *dispatchRun) peerDied() {
-	if r.alive.Add(-1) == 0 {
-		close(r.allDead)
-	}
-}
-
-// apply verifies one batch response end to end, then persists and
-// records every shard. Verify-all-then-apply keeps a malformed response
-// side-effect free: a batch is either fully applied once or fully
-// retried, so no shard is ever double-counted. A store write failure is
+// apply verifies one batch response end to end, then hands every shard
+// to done. Verify-all-then-apply keeps a malformed response side-effect
+// free: a batch is either fully applied once or fully retried, so no
+// shard is ever double-counted. A done error (a store write failure) is
 // fatal (r.fail) — the cache is the job's checkpoint.
-func (r *dispatchRun) apply(batch []int, resp *ShardBatchResponse) error {
-	if len(resp.Shards) != len(batch) {
-		return fmt.Errorf("batch of %d shards answered with %d", len(batch), len(resp.Shards))
+func (r *dispatchRun) apply(b batch, resp *ShardBatchResponse) error {
+	if len(resp.Shards) != b.hi-b.lo {
+		return fmt.Errorf("batch of %d shards answered with %d", b.hi-b.lo, len(resp.Shards))
 	}
-	for k, sr := range resp.Shards {
-		i := batch[k]
+	for j, sr := range resp.Shards {
+		i := r.indices[b.lo+j]
 		sh := r.spec.Shard(i)
 		if sr.Index != i {
 			return fmt.Errorf("shard %d answered out of order (got index %d)", i, sr.Index)
 		}
-		if sr.Key != r.keys[i] {
-			return fmt.Errorf("shard %d: content address mismatch (worker %s, coordinator %s)", i, sr.Key, r.keys[i])
+		key, err := sweepstore.ShardKey(r.spec.ShardConfig(sh))
+		if err != nil {
+			return err
+		}
+		if sr.Key != key {
+			return fmt.Errorf("shard %d: content address mismatch (worker %s, coordinator %s)", i, sr.Key, key)
 		}
 		if len(sr.Runs) != sh.Count {
 			return fmt.Errorf("shard %d: %d runs, want %d", i, len(sr.Runs), sh.Count)
 		}
 	}
-	for k, sr := range resp.Shards {
-		i := batch[k]
-		sh := r.spec.Shard(i)
+	for j, sr := range resp.Shards {
 		experiments.NormalizeLERRuns(sr.Runs)
-		if err := r.st.PutShard(r.keys[i], sh.Seed, sr.Runs); err != nil {
+		if err := r.done(b.lo+j, sr.Runs); err != nil {
 			r.fail(err)
 			return nil
 		}
-		r.runs[i] = sr.Runs
 		r.d.remoteShards.Add(1)
-		if r.note != nil {
-			r.note(sh, false)
-		}
-		r.tracker.shardDone(sh.Point)
 	}
 	r.d.batches.Add(1)
-	r.batchDone()
+	if r.pending.Add(-1) == 0 {
+		close(r.finished)
+	}
 	return nil
 }
 
@@ -435,24 +366,25 @@ func (p *peerState) loop(ctx context.Context, wg *sync.WaitGroup) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-p.run.done:
+		case <-p.run.finished:
 			return
-		case batch := <-p.run.queue:
+		case b := <-p.run.queue:
 			if p.dead.Load() {
 				// A sibling slot marked the peer dead while this one was
 				// blocked on the queue: hand the batch straight back.
-				p.run.requeue(batch)
+				p.run.requeue(b)
 				return
 			}
-			p.process(ctx, batch)
+			p.process(ctx, b)
 		}
 	}
 }
 
 // process runs one batch against the peer: attempt, retry with
 // exponential backoff, and on exhaustion mark the peer dead and fail
-// the batch over to the survivors (or the local fallback).
-func (p *peerState) process(ctx context.Context, batch []int) {
+// the batch over to the survivors (or, with every peer dead, back to
+// the pipeline).
+func (p *peerState) process(ctx context.Context, b batch) {
 	r := p.run
 	r.d.inflight.Add(1)
 	defer r.d.inflight.Add(-1)
@@ -465,16 +397,16 @@ func (p *peerState) process(ctx context.Context, batch []int) {
 				select {
 				case <-ctx.Done():
 					t.Stop()
-					r.requeue(batch)
+					r.requeue(b)
 					return
 				case <-t.C:
 				}
 				backoff *= 2
 			}
 		}
-		resp, retryable, err := r.d.postBatch(ctx, p.url, r.spec, batch)
+		resp, retryable, err := r.d.postBatch(ctx, p.url, r.spec, r.indices[b.lo:b.hi])
 		if err == nil {
-			if err := r.apply(batch, resp); err == nil {
+			if err := r.apply(b, resp); err == nil {
 				return
 			}
 			// A malformed response counts as a failed attempt.
@@ -482,15 +414,14 @@ func (p *peerState) process(ctx context.Context, batch []int) {
 			break
 		}
 		if ctx.Err() != nil {
-			r.requeue(batch)
+			r.requeue(b)
 			return
 		}
 	}
 	if !p.dead.Swap(true) {
 		r.d.failures.Add(1)
-		r.peerDied()
 	}
-	r.requeue(batch)
+	r.requeue(b)
 }
 
 // postBatch sends one shard batch to a peer. retryable is false for
@@ -531,115 +462,4 @@ func (d *Dispatcher) postBatch(ctx context.Context, peer string, spec experiment
 		return nil, true, err
 	}
 	return &out, false, nil
-}
-
-// localLoop is the fallback of last resort: it engages only once every
-// peer is dead (never competing with healthy workers for shards) and
-// drains the queue with the coordinator's own engine stack, so a sweep
-// always completes even with the whole fleet gone.
-func (r *dispatchRun) localLoop(ctx context.Context, wg *sync.WaitGroup) {
-	defer wg.Done()
-	select {
-	case <-ctx.Done():
-		return
-	case <-r.done:
-		return
-	case <-r.allDead:
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-r.done:
-			return
-		case batch := <-r.queue:
-			r.computeLocal(ctx, batch)
-		}
-	}
-}
-
-// computeLocal computes one batch with the local engine stack (the same
-// shard path a worker runs remotely).
-func (r *dispatchRun) computeLocal(ctx context.Context, batch []int) {
-	runs, err := experiments.RunShardBatch(ctx, r.spec, batch, experiments.RunOptions{Workers: r.d.opt.LocalWorkers})
-	if err != nil {
-		if ctx.Err() != nil {
-			r.requeue(batch)
-			return
-		}
-		r.fail(err)
-		return
-	}
-	for k, i := range batch {
-		sh := r.spec.Shard(i)
-		if err := r.st.PutShard(r.keys[i], sh.Seed, runs[k]); err != nil {
-			r.fail(err)
-			return
-		}
-		r.runs[i] = runs[k]
-		r.d.localShards.Add(1)
-		if r.note != nil {
-			r.note(sh, false)
-		}
-		r.tracker.shardDone(sh.Point)
-	}
-	r.batchDone()
-}
-
-// pointTracker reproduces the pipeline's in-order Progress contract for
-// the dispatcher: point i is announced once all its shards and all
-// earlier points are complete, whatever the completion interleaving.
-type pointTracker struct {
-	mu        sync.Mutex
-	pers      []float64
-	remaining []int
-	next      int
-	fn        func(point int, per float64)
-}
-
-// newPointTracker builds a tracker; a nil fn (no subscriber) yields a
-// nil tracker, whose methods are no-ops.
-func newPointTracker(spec experiments.Spec, fn func(point int, per float64)) *pointTracker {
-	if fn == nil {
-		return nil
-	}
-	spp := 0
-	if len(spec.PERs) > 0 {
-		spp = spec.NumShards() / len(spec.PERs)
-	}
-	if spp == 0 {
-		// Degenerate sweep (no shards): announced by finishDegenerate.
-		return &pointTracker{pers: spec.PERs, fn: fn}
-	}
-	remaining := make([]int, len(spec.PERs))
-	for i := range remaining {
-		remaining[i] = spp
-	}
-	return &pointTracker{pers: spec.PERs, remaining: remaining, fn: fn}
-}
-
-// shardDone retires one shard of point p, announcing every newly
-// completed point in ascending order.
-func (t *pointTracker) shardDone(p int) {
-	if t == nil || t.remaining == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.remaining[p]--
-	for t.next < len(t.pers) && t.remaining[t.next] == 0 {
-		t.fn(t.next, t.pers[t.next])
-		t.next++
-	}
-}
-
-// finishDegenerate announces the points of a shardless sweep (Samples
-// 0), keeping the per-point Progress contract.
-func (t *pointTracker) finishDegenerate() {
-	if t == nil || t.remaining != nil {
-		return
-	}
-	for i, per := range t.pers {
-		t.fn(i, per)
-	}
 }

@@ -87,6 +87,15 @@ func startWorkers(t *testing.T, n int, failFirst int64) []string {
 	return urls
 }
 
+// runDispatched runs spec the way a server with -peers does: the
+// pipeline with st's Cache hooks and d as its compute backend.
+func runDispatched(d *Dispatcher, st *sweepstore.Store, spec experiments.Spec,
+	progress func(point int, per float64), note func(sh experiments.Shard, cached bool)) ([]experiments.PointResult, error) {
+	opt := sweepstore.Cache(st, spec, note)
+	opt.Workers, opt.Progress, opt.Compute = 2, progress, d.Compute
+	return experiments.RunSpec(context.Background(), spec, opt)
+}
+
 func newDispatcher(t *testing.T, opt DispatchOptions) *Dispatcher {
 	t.Helper()
 	if opt.Timeout == 0 {
@@ -151,7 +160,7 @@ func TestDispatchPartitionProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				var points []int
-				pts, err := d.Run(context.Background(), st, spec,
+				pts, err := runDispatched(d, st, spec,
 					func(p int, _ float64) { points = append(points, p) }, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -183,8 +192,8 @@ func TestDispatchPartitionProperty(t *testing.T) {
 }
 
 // TestDispatchAllPeersDeadFallsBackLocal: with every peer unreachable,
-// the local fallback computes the whole sweep — identical bytes, every
-// shard counted local.
+// the dispatcher hands every shard back and the pipeline's own pool
+// computes the whole sweep — identical bytes, every shard counted local.
 func TestDispatchAllPeersDeadFallsBackLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed e2e skipped in -short mode")
@@ -206,7 +215,7 @@ func TestDispatchAllPeersDeadFallsBackLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := d.Run(context.Background(), st, spec, nil, nil)
+	pts, err := runDispatched(d, st, spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +256,11 @@ func TestDispatchServesFromCache(t *testing.T) {
 	ws := httptest.NewServer(http.NotFoundHandler())
 	ws.Close() // dead on arrival: any dispatch attempt would fail over
 	d := newDispatcher(t, DispatchOptions{Peers: []string{ws.URL}, BatchSize: 4, InFlight: 1, Retries: 0})
-	cached := 0
-	pts, err := d.Run(context.Background(), st, spec, nil,
+	var cached atomic.Int64 // note is called concurrently from the pool's lookups
+	pts, err := runDispatched(d, st, spec, nil,
 		func(_ experiments.Shard, hit bool) {
 			if hit {
-				cached++
+				cached.Add(1)
 			}
 		})
 	if err != nil {
@@ -260,27 +269,62 @@ func TestDispatchServesFromCache(t *testing.T) {
 	if !reflect.DeepEqual(pts, want) {
 		t.Fatal("cache-served fold diverged from serial run")
 	}
-	if cached != spec.NumShards() {
-		t.Errorf("cached %d shards, want all %d", cached, spec.NumShards())
+	if cached.Load() != int64(spec.NumShards()) {
+		t.Errorf("cached %d shards, want all %d", cached.Load(), spec.NumShards())
 	}
 	if ds := d.Stats(); ds.RemoteShards != 0 || ds.LocalShards != 0 {
 		t.Errorf("warm cache still computed: remote=%d local=%d", ds.RemoteShards, ds.LocalShards)
 	}
 }
 
-// TestDispatchRejectsAdaptive: adaptive sweeps are sequential by
-// construction and must not be fanned out.
-func TestDispatchRejectsAdaptive(t *testing.T) {
-	d := newDispatcher(t, DispatchOptions{Peers: []string{"http://127.0.0.1:1"}, BatchSize: 1, InFlight: 1})
+// TestDispatchAdaptive: an adaptive sweep distributes like a full one.
+// Its rounds go through two loopback workers, the first failing its
+// first batch, and the dispatched sweep must fold identically to a local
+// run, stop early on at least one point, announce its points in
+// ascending order and compute shards remotely.
+func TestDispatchAdaptive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed e2e skipped in -short mode")
+	}
+	spec := experiments.Spec{
+		Engine:           experiments.EngineNameSparse,
+		PERs:             []float64{6e-3, 8e-3},
+		Samples:          1024,
+		MaxLogicalErrors: 1 << 30,
+		MaxWindows:       150,
+		BaseSeed:         5150,
+		AdaptRelWidth:    0.25,
+		AdaptBatch:       256,
+	}
+	want, err := experiments.RunSpec(context.Background(), spec, experiments.RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDispatcher(t, DispatchOptions{Peers: startWorkers(t, 2, 1), BatchSize: 2, InFlight: 2, Retries: 2})
 	st, err := sweepstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := partitionSpec()
-	spec.AdaptRelWidth = 0.1
-	if _, err := d.Run(context.Background(), st, spec, nil, nil); err == nil ||
-		!strings.Contains(err.Error(), "adaptive") {
-		t.Fatalf("adaptive spec dispatched: err=%v", err)
+	var points []int
+	got, err := runDispatched(d, st, spec, func(p int, _ float64) { points = append(points, p) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatched adaptive fold diverged from local run:\ndispatched: %+v\nlocal:      %+v", got, want)
+	}
+	if !reflect.DeepEqual(points, []int{0, 1}) {
+		t.Fatalf("progress points %v, want [0 1]", points)
+	}
+	early := false
+	for _, pt := range got {
+		early = early || len(pt.LERs) < spec.Samples
+	}
+	if !early {
+		t.Error("no point stopped early")
+	}
+	if ds := d.Stats(); ds.RemoteShards == 0 || ds.Retries == 0 {
+		t.Errorf("remote shards %d, retries %d: want both > 0", ds.RemoteShards, ds.Retries)
 	}
 }
 
@@ -303,7 +347,6 @@ func TestDispatchOptionsValidate(t *testing.T) {
 		{"negative_retries", func(o *DispatchOptions) { o.Retries = -1 }, "retries"},
 		{"negative_timeout", func(o *DispatchOptions) { o.Timeout = -time.Second }, "timeout"},
 		{"negative_backoff", func(o *DispatchOptions) { o.Backoff = -time.Second }, "backoff"},
-		{"negative_workers", func(o *DispatchOptions) { o.LocalWorkers = -1 }, "local workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

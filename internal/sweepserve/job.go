@@ -25,8 +25,8 @@ const (
 )
 
 // PointEvent is the SSE payload of one completed sweep point. Points
-// are announced strictly in ascending order — the pipeline's in-order
-// Progress collector serializes them — so a subscriber can render a
+// are announced strictly in ascending order — the pipeline's progress
+// tracker serializes them — so a subscriber can render a
 // monotone progress bar whatever the worker interleaving was.
 type PointEvent struct {
 	Point int     `json:"point"`
@@ -90,8 +90,8 @@ func (j *job) noteShard(cached bool) {
 	}
 }
 
-// pointDone records and broadcasts one completed point (called from the
-// pipeline's progress collector goroutine, in ascending point order).
+// pointDone records and broadcasts one completed point (called by the
+// pipeline's progress tracker, serialized and in ascending point order).
 func (j *job) pointDone(point int, per float64) {
 	j.mu.Lock()
 	j.pointsDone++

@@ -38,9 +38,8 @@ type Options struct {
 	Store *sweepstore.Store
 	// Workers bounds each job's worker pool. Zero means GOMAXPROCS.
 	Workers int
-	// Dispatch, when non-nil, fans shard compute out to its remote
-	// worker set. Adaptive sweeps (sequential by construction) still run
-	// through the local cached pipeline.
+	// Dispatch, when non-nil, is the pipeline's compute backend: every
+	// job's store misses fan out to its remote worker set.
 	Dispatch *Dispatcher
 }
 
@@ -268,11 +267,7 @@ func (s *Server) startJob(spec experiments.Spec) (*job, int, error) {
 	return j, http.StatusAccepted, nil
 }
 
-// runJob drives one sweep to a stored result: through the distributed
-// dispatcher when one is configured (and the sweep is distributable),
-// through the shared local cached pipeline otherwise. Both paths write
-// the same shards to the same store and fold in the same index order,
-// so the result bytes do not depend on the route.
+// runJob drives one sweep to a stored result.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -288,25 +283,18 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	j.finish()
 }
 
-// runSweep computes a job's points. Adaptive sweeps stay local: their
-// Wilson-interval stop rule decides each batch from the last one's
-// counts, a sequential dependency no fan-out can honor.
+// runSweep computes a job's points through the one sweep pipeline, with
+// the store as shard cache and, when a dispatcher is configured, the
+// store misses computed by the remote workers. Every route writes the
+// same shards to the same store and folds in the same index order, so
+// the result bytes do not depend on it.
 func (s *Server) runSweep(ctx context.Context, j *job) ([]experiments.PointResult, error) {
-	//qa:allow float-eq zero is the adaptive-off sentinel, an exact flag value not a measurement
-	if s.dispatch != nil && j.spec.AdaptRelWidth == 0 {
-		return s.dispatch.Run(ctx, s.store, j.spec,
-			func(point int, per float64) { j.pointDone(point, per) },
-			func(_ experiments.Shard, cached bool) { j.noteShard(cached) })
+	opt := sweepstore.Cache(s.store, j.spec, func(_ experiments.Shard, cached bool) { j.noteShard(cached) })
+	opt.Workers, opt.Progress = s.workers, j.pointDone
+	if s.dispatch != nil {
+		opt.Compute = s.dispatch.Compute
 	}
-	cfg, err := j.spec.SweepConfig()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Workers = s.workers
-	cfg.Progress = func(point int, per float64) { j.pointDone(point, per) }
-	return sweepstore.RunCached(ctx, s.store, cfg, func(_ experiments.Shard, cached bool) {
-		j.noteShard(cached)
-	})
+	return experiments.RunSpec(ctx, j.spec, opt)
 }
 
 // jobID returns the {id} path value, answering 404 unless it is a

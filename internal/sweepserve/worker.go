@@ -122,8 +122,8 @@ func (w *Worker) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 // or 413 for a body past maxRequestBytes (the coordinator gives up on
 // the batch immediately rather than retrying a request that cannot
 // succeed); compute and store errors are 500s (retryable — the
-// coordinator retries, fails the worker over, or falls back to local
-// compute).
+// coordinator retries, fails the worker over, or hands the batch back
+// to its own pipeline).
 func (w *Worker) handleShards(rw http.ResponseWriter, r *http.Request) {
 	w.batches.Add(1)
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxRequestBytes))
@@ -153,47 +153,18 @@ func (w *Worker) handleShards(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := spec.NumShards()
-	keys := make([]string, len(req.Indices))
-	for k, i := range req.Indices {
+	for _, i := range req.Indices {
 		if i < 0 || i >= n {
 			w.rejected.Add(1)
 			writeError(rw, http.StatusBadRequest, "shard index %d out of range [0,%d)", i, n)
 			return
 		}
-		key, err := sweepstore.ShardKey(spec.ShardConfig(spec.Shard(i)))
-		if err != nil {
-			w.failed.Add(1)
-			writeError(rw, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		keys[k] = key
 	}
-
-	opt := experiments.RunOptions{Workers: w.workers}
+	opt := experiments.RunOptions{}
 	if w.store != nil {
-		// The batch positions of one request are disjoint, so the worker
-		// goroutines index keys without locking. Position lookup walks the
-		// (small) batch linearly; batches are tens of shards, not millions.
-		pos := func(index int) int {
-			for k, i := range req.Indices {
-				if i == index {
-					return k
-				}
-			}
-			return -1
-		}
-		opt.Lookup = func(sh experiments.Shard) ([]experiments.LERResult, bool) {
-			runs, ok := w.store.GetShard(keys[pos(sh.Index)], sh.Count, sh.Seed)
-			if ok {
-				w.cached.Add(1)
-			}
-			return runs, ok
-		}
-		opt.Persist = func(sh experiments.Shard, runs []experiments.LERResult) error {
-			w.computed.Add(1)
-			return w.store.PutShard(keys[pos(sh.Index)], sh.Seed, runs)
-		}
+		opt = sweepstore.Cache(w.store, spec, w.noteShard)
 	}
+	opt.Workers = w.workers
 	runs, err := experiments.RunShardBatch(r.Context(), spec, req.Indices, opt)
 	if err != nil {
 		w.failed.Add(1)
@@ -202,12 +173,27 @@ func (w *Worker) handleShards(rw http.ResponseWriter, r *http.Request) {
 	}
 	resp := ShardBatchResponse{Shards: make([]ShardResult, len(req.Indices))}
 	for k, i := range req.Indices {
-		if w.store == nil {
-			w.computed.Add(1) // with a store, Lookup/Persist counted the split
+		key, err := sweepstore.ShardKey(spec.ShardConfig(spec.Shard(i)))
+		if err != nil {
+			w.failed.Add(1)
+			writeError(rw, http.StatusInternalServerError, "%v", err)
+			return
 		}
-		resp.Shards[k] = ShardResult{Index: i, Key: keys[k], Runs: runs[k]}
+		if w.store == nil {
+			w.computed.Add(1) // with a store, Cache's note counted the split
+		}
+		resp.Shards[k] = ShardResult{Index: i, Key: key, Runs: runs[k]}
 	}
 	writeJSON(rw, http.StatusOK, resp)
+}
+
+// noteShard counts one shard a store-backed worker resolved.
+func (w *Worker) noteShard(_ experiments.Shard, cached bool) {
+	if cached {
+		w.cached.Add(1)
+	} else {
+		w.computed.Add(1)
+	}
 }
 
 // writeStoreMetrics appends one store's counters under a metric prefix
