@@ -14,8 +14,8 @@ import (
 // TestBadFlagsExitTwoUpfront runs main in a child process (this test
 // binary, run again with PFVERIFY_ARGS set) for each bad invocation,
 // and requires exit status 2 with a "pfverify: " line on stderr and
-// nothing on stdout. A stray argument used to be ignored, -iters -3
-// passed vacuously and -qubits 0 panicked in the state vector.
+// nothing on stdout. Unchecked, a stray argument is ignored, -iters -3
+// passes vacuously and -qubits 0 panics in the random-circuit generator.
 func TestBadFlagsExitTwoUpfront(t *testing.T) {
 	if args, ok := os.LookupEnv("PFVERIFY_ARGS"); ok {
 		os.Args = append([]string{"pfverify"}, strings.Fields(args)...)

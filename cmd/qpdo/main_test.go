@@ -14,9 +14,9 @@ import (
 // TestBadFlagsExitTwoUpfront runs main in a child process (this test
 // binary, run again with QPDO_ARGS set) for each bad invocation,
 // and requires exit status 2 with a "qpdo: " line on stderr and
-// nothing on stdout. Bad -shots, -per and arguments used to run the
-// bench and fail its verdict, -tb dropped -per silently, and an unknown
-// -core surfaced only inside the shot loop.
+// nothing on stdout. Unchecked, bad -shots, -per and arguments run the
+// bench and fail its verdict, -tb drops -per silently, and an unknown
+// -core surfaces only inside the shot loop.
 func TestBadFlagsExitTwoUpfront(t *testing.T) {
 	if args, ok := os.LookupEnv("QPDO_ARGS"); ok {
 		os.Args = append([]string{"qpdo"}, strings.Fields(args)...)
