@@ -1,22 +1,21 @@
 // Command qalint is the repo's static analyzer: it enforces the
 // invariants the headline claims depend on — deterministic sharded
 // sweeps, exhaustive gate/Pauli enum switches, allocation-free
-// //qa:hotpath kernels (interprocedurally, through the module call
-// graph), configuration-derived RNG seeds, checked error returns and
-// scheduling-independent worker-pool closures, plus tolerance-based
-// float comparison — over every package of the module. See
-// internal/lint for the checks and the //qa: annotation grammar.
+// //qa:hotpath kernels (one rule set for a kernel's body and, through
+// the module call graph, every function it calls), configuration-derived
+// RNG seeds, checked error returns and scheduling-independent
+// worker-pool closures, plus tolerance-based float comparison — over
+// every package of the module. See internal/lint for the checks and the
+// //qa: annotation grammar.
 //
 // Usage:
 //
-//	qalint [-checks determinism,errcheck,…] [-json] [-baseline file] [-list] [./...]
+//	qalint [-checks determinism,errcheck,…] [-json] [-list] [-dir dir] [./...]
 //
 // -json emits one machine-readable finding per line (JSON Lines:
 // check/file/line/col/message, file paths module-root-relative) for CI
-// artifacts and annotators. -baseline replays a previous -json capture
-// as a suppression list — matching on (check, file, message), line
-// numbers ignored — so a new check can land strictly against known
-// findings; anything not baselined still fails.
+// artifacts and annotators. The repo carries no suppression list: a
+// deliberate exception is a //qa:allow annotation at its line.
 //
 // The only supported pattern is the whole module (./..., the default):
 // the checks are cross-package invariants, so partial runs would give a
@@ -37,7 +36,6 @@ func main() {
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list the registered checks and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON Lines (one object per finding)")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this JSON Lines file (as produced by -json)")
 	dir := flag.String("dir", ".", "directory inside the module to analyze")
 	flag.Usage = func() {
 		//qa:allow errcheck usage text to stderr, nothing to do on failure
@@ -74,16 +72,6 @@ func main() {
 		}
 	}
 
-	var baseline *lint.Baseline
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qalint:", err)
-			os.Exit(2)
-		}
-		baseline = b
-	}
-
 	loader, err := lint.NewLoader(*dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qalint:", err)
@@ -95,7 +83,6 @@ func main() {
 		os.Exit(2)
 	}
 	diags := lint.Run(cfg, pkgs)
-	diags = baseline.Filter(diags, loader.ModuleRoot)
 	if *jsonOut {
 		if err := lint.WriteJSON(os.Stdout, diags, loader.ModuleRoot); err != nil {
 			fmt.Fprintln(os.Stderr, "qalint:", err)

@@ -5,39 +5,42 @@ import (
 	"go/ast"
 	"go/types"
 	"path/filepath"
+	"slices"
 )
 
 // The call-graph layer makes the analyzer interprocedural: it indexes
 // every function declaration of the loaded module by its *types.Func
 // object, resolves static call edges (package-level functions and
 // methods on concrete receiver types) via go/types, and computes a
-// bottom-up "may-allocate" lattice over that graph. Dynamic edges —
+// bottom-up "may-allocate" lattice over that graph. A function's value
+// is the first site allocSites (hotpath.go) finds in its body, so the
+// lattice and the hotpath check share one rule set. Dynamic edges —
 // calls through func values or interface methods — cannot be resolved
 // statically and are treated conservatively as may-allocate; the one
 // exemption is a local variable bound exactly once to a func literal in
 // the same function, whose body is visible and analyzed in place.
 //
-// The interprocedural hotpath check (hotpath.go) queries the lattice at
-// every call site inside a //qa:hotpath function: a callee that is not
-// provably allocation-free is a finding, with the reason chain ("calls
-// f: calls g: make allocates at …") attached so a three-deep allocation
+// The hotpath check queries the lattice at every call site inside a
+// //qa:hotpath function: a callee that is not provably allocation-free
+// is a finding, with the reason chain ("calls f (f at a.go:9: calls g
+// (g at b.go:4: make allocates))") attached so a three-deep allocation
 // is diagnosable from the kernel's call site.
 
 // Program is the module-wide view built by Run before the per-package
-// checks execute: every loaded package plus the cross-package function
-// index and the memoized may-allocate results.
+// checks execute: the cross-package function index and the memoized
+// may-allocate results.
 type Program struct {
-	Pkgs []*Package
-
 	// decls maps a function object to its declaration site.
 	decls map[*types.Func]*declSite
 
 	// alloc memoizes the lattice: the reason the function may allocate,
-	// or the empty string when it is provably allocation-free.
-	alloc map[*types.Func]*allocResult
-
-	// cfg supplies the external allocation-free allowlist.
-	cfg *Config
+	// or the empty string when it is provably allocation-free. A
+	// function reads as allocation-free while its own entry is being
+	// computed, so cycles resolve optimistically: a recursive function
+	// is judged by its own body and its non-cyclic callees. That can
+	// miss an allocation: when f calls g, g calls f and f allocates
+	// after the call, asking for f first memoizes g as allocation-free.
+	alloc map[*types.Func]string
 }
 
 type declSite struct {
@@ -45,24 +48,11 @@ type declSite struct {
 	fn  *ast.FuncDecl
 }
 
-type allocResult struct {
-	mayAlloc bool
-	reason   string
-	// visiting marks an in-progress computation; cycles resolve
-	// optimistically (a recursive function is judged by its own body and
-	// its non-cyclic callees, which is a sound fixpoint for this
-	// monotone property: re-running the scan with the final values could
-	// only re-derive them).
-	visiting bool
-}
-
 // NewProgram indexes the packages' function declarations.
-func NewProgram(cfg *Config, pkgs []*Package) *Program {
+func NewProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		Pkgs:  pkgs,
 		decls: map[*types.Func]*declSite{},
-		alloc: map[*types.Func]*allocResult{},
-		cfg:   cfg,
+		alloc: map[*types.Func]string{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -140,278 +130,66 @@ func recvType(fn *types.Func) types.Type {
 	return sig.Recv().Type()
 }
 
-// Decl returns the module-internal declaration of fn, or nil for
-// external (stdlib) functions.
-func (prog *Program) Decl(fn *types.Func) (*Package, *ast.FuncDecl) {
-	if site, ok := prog.decls[fn]; ok {
-		return site.pkg, site.fn
-	}
-	return nil, nil
-}
-
-// allocFreeExternal reports whether an external (no source in the
-// module) function is on the known-allocation-free allowlist. The
-// default list is deliberately tiny: math and math/bits are pure
-// word-arithmetic packages with no allocating API.
-func (prog *Program) allocFreeExternal(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return false // error.Error and other universe methods: dynamic anyway
-	}
-	allow := prog.cfg.HotAllowPackages
-	if allow == nil {
-		allow = defaultHotAllowPackages
-	}
-	for _, p := range allow {
-		if pkg.Path() == p {
-			return true
-		}
-	}
-	allowFuncs := prog.cfg.HotAllowFuncs
-	if allowFuncs == nil {
-		allowFuncs = defaultHotAllowFuncs
-	}
-	name := fnName(fn)
-	for _, f := range allowFuncs {
-		if name == f {
-			return true
-		}
-	}
-	return false
-}
-
-// defaultHotAllowPackages is the stdlib allowlist for the
-// interprocedural hotpath lattice.
-var defaultHotAllowPackages = []string{"math", "math/bits"}
-
-// defaultHotAllowFuncs lists individual external functions trusted as
-// allocation-free. math/rand cannot be allowlisted wholesale —
+// allocFreePackages and allocFreeFuncs are the allocation-free
+// allowlist: the external (no source in the module) functions the
+// lattice trusts. math and math/bits are pure word-arithmetic packages
+// with no allocating API. math/rand cannot be allowlisted wholesale —
 // rand.New and rand.NewSource allocate — but the draw methods on an
 // existing *rand.Rand are pure arithmetic over the source state
 // (Uint64/Int63 read the generator, Intn/Int63n reduce a draw,
-// ExpFloat64/NormFloat64 walk constant ziggurat tables).
-var defaultHotAllowFuncs = []string{
-	"(*math/rand.Rand).Uint64",
-	"(*math/rand.Rand).Int63",
-	"(*math/rand.Rand).Int63n",
-	"(*math/rand.Rand).Intn",
-	"(*math/rand.Rand).Int31n",
-	"(*math/rand.Rand).Float64",
-	"(*math/rand.Rand).ExpFloat64",
-	"(*math/rand.Rand).NormFloat64",
-}
+// ExpFloat64/NormFloat64 walk constant ziggurat tables). Functions are
+// named as fnName renders them.
+var (
+	allocFreePackages = []string{"math", "math/bits"}
+	allocFreeFuncs    = []string{
+		"(*math/rand.Rand).Uint64",
+		"(*math/rand.Rand).Int63",
+		"(*math/rand.Rand).Int63n",
+		"(*math/rand.Rand).Intn",
+		"(*math/rand.Rand).Int31n",
+		"(*math/rand.Rand).Float64",
+		"(*math/rand.Rand).ExpFloat64",
+		"(*math/rand.Rand).NormFloat64",
+	}
+)
 
 // MayAllocate reports whether fn can allocate on some path, with a
 // human-readable reason chain for the first allocation site found.
-// Allocation-free means: the body contains none of the constructs the
-// hotpath check forbids (append/make/new, composite literals, string
-// concatenation and string<->[]byte conversions, non-constant interface
-// conversions, capturing closures, go/defer), every static callee is
-// itself allocation-free, and no unresolvable dynamic call remains.
-// Lines annotated //qa:allow hotpath inside the body are trusted
-// (deliberate cold paths) and skipped.
+// Allocation-free means: allocSites finds nothing in the body (lines
+// annotated //qa:allow hotpath are trusted as deliberate cold paths),
+// which covers every static callee transitively. An external function
+// is allocation-free only on the allowlist, and a declaration without a
+// Go body never is.
 func (prog *Program) MayAllocate(fn *types.Func) (bool, string) {
-	if res, ok := prog.alloc[fn]; ok {
-		if res.visiting {
-			return false, "" // optimistic on cycles; see allocResult
-		}
-		return res.mayAlloc, res.reason
+	reason, ok := prog.alloc[fn]
+	if !ok {
+		prog.alloc[fn] = "" // optimistic on cycles; see Program.alloc
+		reason = prog.allocReason(fn)
+		prog.alloc[fn] = reason
 	}
+	return reason != "", reason
+}
+
+// allocReason computes fn's lattice value: the reason it may allocate,
+// or "".
+func (prog *Program) allocReason(fn *types.Func) string {
 	site, ok := prog.decls[fn]
-	if !ok {
-		if prog.allocFreeExternal(fn) {
-			prog.alloc[fn] = &allocResult{}
-			return false, ""
-		}
-		reason := fmt.Sprintf("external function %s is not on the allocation-free allowlist", fnName(fn))
-		prog.alloc[fn] = &allocResult{mayAlloc: true, reason: reason}
-		return true, reason
-	}
-	if site.fn.Body == nil {
-		reason := fmt.Sprintf("%s has no Go body (assembly or linkname)", fnName(fn))
-		prog.alloc[fn] = &allocResult{mayAlloc: true, reason: reason}
-		return true, reason
-	}
-	res := &allocResult{visiting: true}
-	prog.alloc[fn] = res
-	res.mayAlloc, res.reason = prog.scanBody(site)
-	res.visiting = false
-	return res.mayAlloc, res.reason
-}
-
-// scanBody looks for the first allocation site in one function body,
-// recursing into static callees through the memoized lattice.
-func (prog *Program) scanBody(site *declSite) (bool, string) {
-	pkg := site.pkg
-	pos := func(n ast.Node) string {
-		p := pkg.Fset.Position(n.Pos())
-		return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-	}
-	allowed := func(n ast.Node) bool {
-		return pkg.Notes.Allowed(CheckHotpath, pkg.Fset.Position(n.Pos()))
-	}
-	var reason string
-	ast.Inspect(site.fn.Body, func(n ast.Node) bool {
-		if reason != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if allowed(n) {
-				return true
-			}
-			reason = prog.scanCall(pkg, site.fn, n, pos)
-		case *ast.CompositeLit:
-			if !allowed(n) {
-				reason = fmt.Sprintf("composite literal at %s", pos(n))
-			}
-		case *ast.BinaryExpr:
-			if n.Op.String() == "+" && isStringType(pkg.Info.TypeOf(n.X)) && !isConstInfo(pkg.Info, n) && !allowed(n) {
-				reason = fmt.Sprintf("string concatenation at %s", pos(n))
-			}
-		case *ast.AssignStmt:
-			reason = scanAssignAlloc(pkg, n, pos, allowed)
-		case *ast.FuncLit:
-			if capturesVariables(pkg.Info, site.fn, n) && !allowed(n) {
-				reason = fmt.Sprintf("capturing closure at %s", pos(n))
-			}
-		case *ast.GoStmt:
-			if !allowed(n) {
-				reason = fmt.Sprintf("go statement at %s", pos(n))
-			}
-		case *ast.DeferStmt:
-			if !allowed(n) {
-				reason = fmt.Sprintf("defer statement at %s", pos(n))
-			}
-		}
-		return reason == ""
-	})
-	if reason != "" {
-		return true, fmt.Sprintf("%s: %s", fnName(pkg.Info.Defs[site.fn.Name].(*types.Func)), reason)
-	}
-	return false, ""
-}
-
-// scanCall classifies one call inside a scanned body: allocating
-// builtins, allocating conversions, static callees through the lattice,
-// and conservative dynamic calls. Empty string means provably fine.
-func (prog *Program) scanCall(pkg *Package, enclosing *ast.FuncDecl, call *ast.CallExpr, pos func(ast.Node) string) string {
-	info := pkg.Info
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append", "make", "new":
-				return fmt.Sprintf("%s at %s", b.Name(), pos(call))
-			}
-			return "" // len, cap, panic(const), copy, …
-		}
-	}
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return convAllocReason(info, tv.Type, call, pos)
-	}
-	if callee := StaticCallee(info, call); callee != nil {
-		if may, why := prog.MayAllocate(callee); may {
-			return fmt.Sprintf("calls %s (%s)", fnName(callee), why)
-		}
+	switch {
+	case !ok && fn.Pkg() != nil &&
+		(slices.Contains(allocFreePackages, fn.Pkg().Path()) || slices.Contains(allocFreeFuncs, fnName(fn))):
 		return ""
+	case !ok:
+		return fmt.Sprintf("external function %s is not on the allocation-free allowlist", fnName(fn))
+	case site.fn.Body == nil:
+		return fmt.Sprintf("%s has no Go body (assembly or linkname)", fnName(fn))
 	}
-	if _, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		return "" // directly-invoked literal: its body is scanned in place
-	}
-	if localFuncLitBinding(info, enclosing, call.Fun) != nil {
-		return "" // f := func(){…}; f() — the literal's body is scanned in place
-	}
-	return fmt.Sprintf("dynamic call (func value or interface method) at %s", pos(call))
-}
-
-// convAllocReason reports conversions that allocate: to an interface
-// from a non-constant concrete value, and between string and byte/rune
-// slices.
-func convAllocReason(info *types.Info, target types.Type, call *ast.CallExpr, pos func(ast.Node) string) string {
-	if len(call.Args) != 1 {
-		return ""
-	}
-	arg := call.Args[0]
-	if isConstInfo(info, arg) {
-		return ""
-	}
-	if types.IsInterface(target) {
-		return fmt.Sprintf("conversion to interface %s at %s", target.String(), pos(call))
-	}
-	src := info.TypeOf(arg)
-	if stringBytesConversion(target, src) {
-		return fmt.Sprintf("conversion between string and byte/rune slice at %s", pos(call))
-	}
-	return ""
-}
-
-// stringBytesConversion reports string <-> []byte/[]rune pairs, which
-// copy their operand into a fresh allocation.
-func stringBytesConversion(dst, src types.Type) bool {
-	return (isStringType(dst) && isByteRuneSlice(src)) || (isByteRuneSlice(dst) && isStringType(src))
-}
-
-func isByteRuneSlice(t types.Type) bool {
-	if t == nil {
+	reason := ""
+	prog.allocSites(site.pkg, site.fn, func(s allocSite) bool {
+		p := site.pkg.Fset.Position(s.pos)
+		reason = fmt.Sprintf("%s at %s:%d: %s", fnName(fn), filepath.Base(p.Filename), p.Line, s.reason)
 		return false
-	}
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-// scanAssignAlloc mirrors checkHotAssign for the lattice scanner:
-// string += and interface-boxing assignments.
-func scanAssignAlloc(pkg *Package, s *ast.AssignStmt, pos func(ast.Node) string, allowed func(ast.Node) bool) string {
-	info := pkg.Info
-	if s.Tok.String() == "+=" && len(s.Lhs) == 1 && isStringType(info.TypeOf(s.Lhs[0])) && !allowed(s) {
-		return fmt.Sprintf("string concatenation at %s", pos(s))
-	}
-	if s.Tok.String() != "=" {
-		return ""
-	}
-	for i, lhs := range s.Lhs {
-		if i >= len(s.Rhs) {
-			break
-		}
-		lt, rt := info.TypeOf(lhs), info.TypeOf(s.Rhs[i])
-		if lt == nil || rt == nil {
-			continue
-		}
-		if types.IsInterface(lt) && !types.IsInterface(rt) && !isConstInfo(info, s.Rhs[i]) && !allowed(s.Rhs[i]) {
-			return fmt.Sprintf("interface-boxing assignment at %s", pos(s.Rhs[i]))
-		}
-	}
-	return ""
-}
-
-// capturesVariables reports whether a func literal captures any
-// variable of its enclosing function (a capturing literal allocates its
-// environment; capture-free literals are static code).
-func capturesVariables(info *types.Info, enclosing *ast.FuncDecl, lit *ast.FuncLit) bool {
-	captures := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if captures {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok {
-			return true
-		}
-		if v.Pos() > enclosing.Pos() && v.Pos() < enclosing.End() &&
-			(v.Pos() < lit.Pos() || v.Pos() > lit.End()) {
-			captures = true
-		}
-		return !captures
 	})
-	return captures
+	return reason
 }
 
 // localFuncLitBinding resolves fun to the single func literal bound to
@@ -474,11 +252,4 @@ func fnName(fn *types.Func) string {
 		return fn.Pkg().Path() + "." + fn.Name()
 	}
 	return fn.Name()
-}
-
-// isConstInfo is isConstExpr without a Pass (for use from the
-// program-wide scanner).
-func isConstInfo(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && tv.Value != nil
 }

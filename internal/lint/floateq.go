@@ -35,7 +35,7 @@ func runFloatEq(p *Pass) {
 			if !isFloat(p.TypeOf(be.X)) && !isFloat(p.TypeOf(be.Y)) {
 				return true
 			}
-			if isConstExpr(p, be.X) && isConstExpr(p, be.Y) {
+			if isConstExpr(p.Pkg.Info, be.X) && isConstExpr(p.Pkg.Info, be.Y) {
 				return true
 			}
 			p.Reportf(CheckFloatEq, be.OpPos,

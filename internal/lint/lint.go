@@ -12,7 +12,8 @@
 //     constant or terminate loudly, so adding a gate cannot fall through.
 //   - hotpath: functions annotated //qa:hotpath (the CHP column-major
 //     gate kernels and the framesim word-parallel propagate/decode loops)
-//     must stay allocation-free, statically pinning the 0 allocs/op
+//     must stay allocation-free, and so must every function they call
+//     (one rule set binds both), statically pinning the 0 allocs/op
 //     benchmark claims.
 //   - floateq: probability and LER code must not compare floats with
 //     == / != (use tolerances), except where //qa:allow float-eq marks a
@@ -118,16 +119,6 @@ type Config struct {
 	// EnumPackages are import paths whose named constant sets the
 	// exhaustive check enforces switch coverage for.
 	EnumPackages []string
-	// HotAllowPackages are external (stdlib) package paths the
-	// interprocedural hotpath lattice trusts as allocation-free; nil
-	// means the default {"math", "math/bits"}.
-	HotAllowPackages []string
-	// HotAllowFuncs are individual external functions the lattice
-	// trusts as allocation-free, named as fnName renders them (e.g.
-	// "(*math/rand.Rand).Uint64"); nil means defaultHotAllowFuncs.
-	// Use this for packages whose constructors allocate but whose draw
-	// methods do not — whole-package trust would be wrong there.
-	HotAllowFuncs []string
 	// SeedFuncs are the RNG-seeding call sites the seed-flow check
 	// taints; nil means DefaultSeedFuncs().
 	SeedFuncs []SeedFunc
@@ -169,7 +160,7 @@ func hasPrefix(path string, prefixes []string) bool {
 // findings sorted by position.
 func Run(cfg *Config, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
-	prog := NewProgram(cfg, pkgs)
+	prog := NewProgram(pkgs)
 	for _, pkg := range pkgs {
 		// Annotation parse errors are findings: a typo in a //qa:
 		// directive must not silently disable enforcement.

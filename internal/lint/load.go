@@ -44,6 +44,10 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newLoader(root, modPath), nil
+}
+
+func newLoader(root, modPath string) *Loader {
 	fset := token.NewFileSet()
 	var names []string
 	for _, c := range Checks() {
@@ -59,7 +63,7 @@ func NewLoader(dir string) (*Loader, error) {
 		stdGC:      importer.ForCompiler(fset, "gc", nil),
 		stdSrc:     importer.ForCompiler(fset, "source", nil),
 		known:      names,
-	}, nil
+	}
 }
 
 // findModule walks up from dir to the enclosing go.mod and returns the
@@ -252,61 +256,14 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 // the testdata fixture packages (which import only the standard
 // library).
 func LoadFixture(dir, importPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(dir)
+	l := newLoader(dir, importPath)
+	src, err := l.parseDir(dir, importPath)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
+	if src == nil {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	std := importer.ForCompiler(fset, "gc", nil)
-	stdSrc := importer.ForCompiler(fset, "source", nil)
-	conf := types.Config{Importer: fixtureImporter{std, stdSrc}}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking fixture %s: %w", dir, err)
-	}
-	var names []string
-	for _, c := range Checks() {
-		names = append(names, c.Name)
-	}
-	return &Package{
-		Path:  importPath,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-		Notes: ParseNotes(fset, files, names),
-	}, nil
-}
-
-type fixtureImporter struct{ gc, src types.Importer }
-
-func (fi fixtureImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if pkg, err := fi.gc.Import(path); err == nil {
-		return pkg, nil
-	}
-	return fi.src.Import(path)
+	l.parsed[importPath] = src
+	return l.load(importPath)
 }
