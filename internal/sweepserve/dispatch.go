@@ -9,10 +9,13 @@
 // exponential backoff, a peer that exhausts its retries is marked dead
 // and its batch requeued for the survivors, and when every peer is dead
 // the queued shards go back to the pipeline, which computes them on its
-// own pool. Because every shard's runs are a pure function of its
-// ShardConfig and the fold visits shards in index order, the merged
-// results are byte-identical to a local -workers 1 run for any worker
-// set, batch size, or failure interleaving.
+// own pool. The mark outlives the Compute call: later calls (the next
+// round of an adaptive sweep, the next job) try a marked peer once,
+// with no retry and no backoff, and its first success clears the mark,
+// so a restarted worker rejoins. Because every shard's runs are a pure
+// function of its ShardConfig and the fold visits shards in index
+// order, the merged results are byte-identical to a local -workers 1
+// run for any worker set, batch size, or failure interleaving.
 package sweepserve
 
 import (
@@ -159,7 +162,9 @@ func ParsePeers(list string) ([]string, error) {
 // (and the current in-flight gauge).
 type DispatchStats struct {
 	// Batches counts successfully applied batches; Retries re-attempts
-	// after failed requests; PeerFailures peers marked dead.
+	// after failed requests; PeerFailures deaths: a peer counts once
+	// each time it goes from live to marked dead, not again for every
+	// failed try while marked.
 	Batches      int64
 	Retries      int64
 	PeerFailures int64
@@ -177,6 +182,9 @@ type DispatchStats struct {
 type Dispatcher struct {
 	opt    DispatchOptions
 	client *http.Client
+	// marked flags, by position in opt.Peers, the peers that exhausted
+	// their retries and have not answered a batch since.
+	marked []atomic.Bool
 
 	batches, retries, failures atomic.Int64
 	remoteShards, localShards  atomic.Int64
@@ -189,7 +197,7 @@ func NewDispatcher(opt DispatchOptions) (*Dispatcher, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return &Dispatcher{opt: opt, client: &http.Client{}}, nil
+	return &Dispatcher{opt: opt, client: &http.Client{}, marked: make([]atomic.Bool, len(opt.Peers))}, nil
 }
 
 // Peers returns the configured worker set.
@@ -235,9 +243,13 @@ func (d *Dispatcher) Compute(ctx context.Context, spec experiments.Spec, indices
 	}
 
 	var wg sync.WaitGroup
-	for _, peer := range d.opt.Peers {
-		ps := &peerState{run: r, url: peer}
-		for slot := 0; slot < d.opt.InFlight; slot++ {
+	for i, peer := range d.opt.Peers {
+		ps := &peerState{run: r, url: peer, marked: &d.marked[i]}
+		slots := d.opt.InFlight
+		if ps.marked.Load() {
+			slots = 1 // one probe, see process
+		}
+		for slot := 0; slot < slots; slot++ {
 			wg.Add(1)
 			go ps.loop(runCtx, &wg)
 		}
@@ -347,12 +359,15 @@ func (r *dispatchRun) apply(b batch, resp *ShardBatchResponse) error {
 	return nil
 }
 
-// peerState is one remote worker's dispatch state, shared by its
-// InFlight slots.
+// peerState is one remote worker's dispatch state in one Compute
+// call, shared by its InFlight slots.
 type peerState struct {
-	run  *dispatchRun
-	url  string
-	dead atomic.Bool
+	run *dispatchRun
+	url string
+	// dead stops this call's slots; marked is the Dispatcher's mark,
+	// which later calls read.
+	dead   atomic.Bool
+	marked *atomic.Bool
 }
 
 // loop pulls batches for this peer until the run completes, the context
@@ -383,13 +398,17 @@ func (p *peerState) loop(ctx context.Context, wg *sync.WaitGroup) {
 // process runs one batch against the peer: attempt, retry with
 // exponential backoff, and on exhaustion mark the peer dead and fail
 // the batch over to the survivors (or, with every peer dead, back to
-// the pipeline).
+// the pipeline). A peer already marked by an earlier call gets one
+// attempt and no retry, from its one slot; a success clears the mark.
 func (p *peerState) process(ctx context.Context, b batch) {
 	r := p.run
 	r.d.inflight.Add(1)
 	defer r.d.inflight.Add(-1)
-	backoff := r.d.opt.Backoff
-	for attempt := 0; attempt <= r.d.opt.Retries; attempt++ {
+	backoff, retries := r.d.opt.Backoff, r.d.opt.Retries
+	if p.marked.Load() {
+		retries = 0
+	}
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			r.d.retries.Add(1)
 			if backoff > 0 {
@@ -407,6 +426,7 @@ func (p *peerState) process(ctx context.Context, b batch) {
 		resp, retryable, err := r.d.postBatch(ctx, p.url, r.spec, r.indices[b.lo:b.hi])
 		if err == nil {
 			if err := r.apply(b, resp); err == nil {
+				p.marked.Store(false)
 				return
 			}
 			// A malformed response counts as a failed attempt.
@@ -418,7 +438,8 @@ func (p *peerState) process(ctx context.Context, b batch) {
 			return
 		}
 	}
-	if !p.dead.Swap(true) {
+	p.dead.Store(true)
+	if !p.marked.Swap(true) {
 		r.d.failures.Add(1)
 	}
 	r.requeue(b)

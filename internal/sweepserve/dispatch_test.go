@@ -52,16 +52,17 @@ func serialReference(t *testing.T, spec experiments.Spec) ([]experiments.PointRe
 	return pts, blob
 }
 
-// failFirstN wraps a worker handler so its first n /v1/shards requests
-// fail with a 500 mid-fleet — the retried-worker leg of the partition
-// property.
-type failFirstN struct {
+// failRequests wraps a worker handler so the /v1/shards requests whose
+// ordinals (from 1) fail selects fail with a 500 mid-fleet — the
+// retried-worker leg of the partition property.
+type failRequests struct {
 	inner http.Handler
+	fail  func(n int64) bool
 	n     atomic.Int64
 }
 
-func (f *failFirstN) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/shards" && f.n.Add(-1) >= 0 {
+func (f *failRequests) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/shards" && f.fail(f.n.Add(1)) {
 		http.Error(w, "injected mid-batch failure", http.StatusInternalServerError)
 		return
 	}
@@ -76,9 +77,7 @@ func startWorkers(t *testing.T, n int, failFirst int64) []string {
 	for i := range urls {
 		var h http.Handler = NewWorker(WorkerOptions{Workers: 2})
 		if i == 0 && failFirst > 0 {
-			f := &failFirstN{inner: h}
-			f.n.Store(failFirst)
-			h = f
+			h = &failRequests{inner: h, fail: func(n int64) bool { return n <= failFirst }}
 		}
 		ws := httptest.NewServer(h)
 		t.Cleanup(ws.Close)
@@ -325,6 +324,109 @@ func TestDispatchAdaptive(t *testing.T) {
 	}
 	if ds := d.Stats(); ds.RemoteShards == 0 || ds.Retries == 0 {
 		t.Errorf("remote shards %d, retries %d: want both > 0", ds.RemoteShards, ds.Retries)
+	}
+}
+
+// adaptiveDeadPeerSpec is a sparse adaptive sweep whose width target is
+// never met, so every point runs all four rounds.
+func adaptiveDeadPeerSpec() experiments.Spec {
+	return experiments.Spec{
+		Engine:           experiments.EngineNameSparse,
+		PERs:             []float64{6e-3, 8e-3},
+		Samples:          1024,
+		MaxLogicalErrors: 1 << 30,
+		MaxWindows:       150,
+		BaseSeed:         5150,
+		AdaptRelWidth:    0.001,
+		AdaptBatch:       256,
+	}
+}
+
+// TestDispatchDeadPeerAcrossRounds: a peer that died in one round stays
+// marked for the next. An adaptive sweep of four rounds, over one
+// refused peer and one live worker at sweepd's retry and in-flight
+// defaults, must fold identically to a local run, count the refused
+// peer's death once, and spend its retry budget only in the round
+// where it died: later rounds try it once, without retries.
+func TestDispatchDeadPeerAcrossRounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed e2e skipped in -short mode")
+	}
+	spec := adaptiveDeadPeerSpec()
+	want, err := experiments.RunSpec(context.Background(), spec, experiments.RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := httptest.NewServer(http.NotFoundHandler())
+	refused.Close()
+	d := newDispatcher(t, DispatchOptions{
+		Peers:     []string{refused.URL, startWorkers(t, 1, 0)[0]},
+		BatchSize: 1, InFlight: DefaultInFlight, Retries: DefaultRetries,
+	})
+	st, err := sweepstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runDispatched(d, st, spec, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatched fold diverged from local run:\ndispatched: %+v\nlocal:      %+v", got, want)
+	}
+	for _, pt := range got {
+		if len(pt.LERs) != spec.Samples {
+			t.Fatalf("point %g ran %d samples, want all %d rounds' %d", pt.PER, len(pt.LERs), spec.Samples/spec.AdaptBatch, spec.Samples)
+		}
+	}
+	ds := d.Stats()
+	if ds.PeerFailures != 1 {
+		t.Errorf("peer failures %d, want 1: the refused peer dies once", ds.PeerFailures)
+	}
+	if budget := int64(DefaultInFlight * DefaultRetries); ds.Retries > budget {
+		t.Errorf("retries %d, want at most %d: only the round where the peer died retries it", ds.Retries, budget)
+	}
+}
+
+// TestDispatchMarkedPeerRejoins: a peer marked dead answers again, and
+// its first success clears the mark, so it rejoins with its full retry
+// budget. One peer, one slot, the four-round adaptive sweep above: its
+// requests 1–3 fail (the first round's try and both retries, so the
+// round finishes on the local pool), request 4 is the next round's one
+// probe and succeeds, and request 5 fails once more, which the
+// rejoined peer retries instead of dying again.
+func TestDispatchMarkedPeerRejoins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed e2e skipped in -short mode")
+	}
+	spec := adaptiveDeadPeerSpec()
+	want, err := experiments.RunSpec(context.Background(), spec, experiments.RunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := httptest.NewServer(&failRequests{
+		inner: NewWorker(WorkerOptions{Workers: 2}),
+		fail:  func(n int64) bool { return n <= 3 || n == 5 },
+	})
+	t.Cleanup(ws.Close)
+	d := newDispatcher(t, DispatchOptions{Peers: []string{ws.URL}, BatchSize: 1, InFlight: 1, Retries: 2})
+	st, err := sweepstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runDispatched(d, st, spec, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("dispatched fold diverged from local run")
+	}
+	ds := d.Stats()
+	if ds.PeerFailures != 1 || ds.Retries != 3 {
+		t.Errorf("peer failures %d, retries %d: want 1 and 3 (two in the first round, one after rejoining)", ds.PeerFailures, ds.Retries)
+	}
+	if ds.LocalShards == 0 || ds.RemoteShards == 0 {
+		t.Errorf("local %d, remote %d shards: want both > 0", ds.LocalShards, ds.RemoteShards)
 	}
 }
 
