@@ -6,7 +6,10 @@
 //
 // Usage:
 //
-//	archsim [-chip chp|qx] [-trace] program.qisa
+//	archsim [-chip chp|qx] [-qubits n] [-seed n] [-trace] [program.qisa]
+//
+// The program is read from the named file, or from stdin without one.
+// A bad flag or a second argument exits 2 before any work.
 package main
 
 import (
@@ -19,15 +22,34 @@ import (
 	"repro/internal/arch"
 	"repro/internal/layers"
 	"repro/internal/qpdo"
+	"repro/internal/statevec"
 	"repro/internal/surface"
 )
 
+// maxChpQubits caps -qubits on the chp chip: a tableau of 4096 qubits
+// takes about 8 MiB.
+const maxChpQubits = 4096
+
 func main() {
 	chipKind := flag.String("chip", "chp", "simulated chip back-end: chp or qx")
-	qubits := flag.Int("qubits", surface.NumQubits, "physical qubits on the chip (≥17)")
+	qubits := flag.Int("qubits", surface.NumQubits, "physical qubits on the chip (17..4096 on chp, 17..30 on qx)")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	trace := flag.Bool("trace", false, "dump the PEL waveform trace")
 	flag.Parse()
+	// Check every flag before any work: a usage error exits 2.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "archsim: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	maxQubits, ok := map[string]int{"chp": maxChpQubits, "qx": statevec.MaxQubits}[*chipKind]
+	switch {
+	case !ok:
+		usage("unknown chip %q (want chp or qx)", *chipKind)
+	case *qubits < surface.NumQubits || *qubits > maxQubits:
+		usage("-qubits must be in %d..%d on the %s chip, got %d", surface.NumQubits, maxQubits, *chipKind, *qubits)
+	case flag.NArg() > 1:
+		usage("at most one program path, got %d arguments", flag.NArg())
+	}
 
 	var src []byte
 	var err error
@@ -46,8 +68,6 @@ func main() {
 		chip = layers.NewChpCore(rand.New(rand.NewSource(*seed)))
 	case "qx":
 		chip = layers.NewQxCore(rand.New(rand.NewSource(*seed)))
-	default:
-		check(fmt.Errorf("unknown chip %q", *chipKind))
 	}
 	check(chip.CreateQubits(*qubits))
 	qcu, err := arch.NewQCU(chip)

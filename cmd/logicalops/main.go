@@ -2,6 +2,12 @@
 // verification of thesis §5.1: initialization to |0⟩_L (Listing 5.1),
 // the |1⟩_L state (Listing 5.2), the logical Hadamard behaviour, and the
 // CNOT_L / CZ_L truth tables (Tables 5.5 and 5.6).
+//
+// Usage:
+//
+//	logicalops [-seed n]
+//
+// Any argument exits 2 before any work.
 package main
 
 import (
@@ -21,6 +27,10 @@ import (
 func main() {
 	seed := flag.Int64("seed", 7, "RNG seed")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "logicalops: unexpected argument %q (it takes only -seed)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	fmt.Println("=== |0⟩_L after initialization (thesis Listing 5.1) ===")
 	l, qx := oneStar(*seed)

@@ -40,8 +40,8 @@ func main() {
 		usage("unexpected argument %q", flag.Arg(0))
 	case *iters < 1 || *bellIters < 1:
 		usage("-iters and -belliters must be >= 1, got %d and %d", *iters, *bellIters)
-	case *qubits < 1 || *qubits > 30:
-		usage("-qubits must be in 1..30 (the state-vector range), got %d", *qubits)
+	case *qubits < 1 || *qubits > statevec.MaxQubits:
+		usage("-qubits must be in 1..%d (the state-vector range), got %d", statevec.MaxQubits, *qubits)
 	case *ngates < 0 || *workers < 0:
 		usage("-gates and -workers must be >= 0, got %d and %d", *ngates, *workers)
 	}

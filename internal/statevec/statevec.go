@@ -32,10 +32,13 @@ type State struct {
 	red []complex128
 }
 
+// MaxQubits is the widest state New builds: 2^30 amplitudes take 16 GiB.
+const MaxQubits = 30
+
 // New creates the all-zeros state |0...0⟩ of n qubits. The supplied RNG
 // drives measurement outcomes; pass a seeded source for reproducibility.
 func New(n int, rng *rand.Rand) *State {
-	if n < 1 || n > 30 {
+	if n < 1 || n > MaxQubits {
 		panic(fmt.Sprintf("statevec: unsupported qubit count %d", n))
 	}
 	s := &State{n: n, amp: make([]complex128, 1<<n), rng: rng, workers: 1}
