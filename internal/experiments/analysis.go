@@ -167,7 +167,7 @@ func Table(points []PointResult, label string) string {
 		lo, hi := p.WilsonLER()
 		fmt.Fprintf(&b, "%-12.4e %-12.4e %-12.4e %-12.4e %-8d %-12.5f %-12.5f\n",
 			p.PER, p.MeanLER(), lo, hi, len(p.LERs),
-			mean(p.GatesSaved), mean(p.SlotsSaved))
+			stats.Mean(p.GatesSaved), stats.Mean(p.SlotsSaved))
 	}
 	return b.String()
 }
@@ -180,7 +180,7 @@ func CSV(points []PointResult) string {
 		lo, hi := p.WilsonLER()
 		fmt.Fprintf(&b, "%g,%g,%g,%g,%d,%d,%d,%g,%g\n",
 			p.PER, p.MeanLER(), lo, hi, len(p.LERs), p.TotalErrors, p.TotalWindows,
-			mean(p.GatesSaved), mean(p.SlotsSaved))
+			stats.Mean(p.GatesSaved), stats.Mean(p.SlotsSaved))
 	}
 	return b.String()
 }

@@ -26,7 +26,7 @@ func frameConfig(cfg LERConfig) framesim.Config {
 		WithPauliFrame:   cfg.WithPauliFrame,
 		MaxLogicalErrors: cfg.MaxLogicalErrors,
 		MaxWindows:       cfg.MaxWindows,
-		InitRounds:       cfg.InitRounds,
+		InitRounds:       initRounds,
 		DecoderRule:      cfg.DecoderRule,
 		Model:            cfg.model(),
 		RefSeed:          cfg.Seed,

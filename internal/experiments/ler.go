@@ -109,20 +109,20 @@ const (
 	CodeSC17 Code = iota
 	// CodeSteane is one Steane [[7,1,3]] block (steane.Layer). A window
 	// is one ESM round with two-round-agreement decode; the SC17-only
-	// fields InitRounds and DecoderRule do not apply.
+	// field DecoderRule does not apply.
 	CodeSteane
 	// CodeSurface is one distance-d surface code plane (surfaced.Plane)
 	// with the matching decoder; Distance selects d. A window is d−1
 	// ESM rounds. It counts logical X errors only, on the stack engine
-	// only, and InitRounds and DecoderRule do not apply.
+	// only, and DecoderRule does not apply.
 	CodeSurface
 	// CodeComputation is the fault-tolerant computation of thesis Fig
 	// 2.6 on two SC17 ninja stars: each step runs a window on each star
 	// (two windows), then a noisy transversal CNOT_L, and a logical X
 	// error on either star restarts both noiselessly. It counts logical
-	// X errors only, on the stack engine only, and InitRounds and
-	// DecoderRule do not apply: the stars reset with one ESM round and
-	// decode with the default rule.
+	// X errors only, on the stack engine only, and DecoderRule does not
+	// apply: the stars reset with one ESM round and decode with the
+	// default rule.
 	CodeComputation
 )
 
@@ -141,13 +141,12 @@ type LERConfig struct {
 	ErrorType ErrorType
 	// WithPauliFrame inserts the Pauli frame layer (thesis Fig 5.8).
 	WithPauliFrame bool
-	// MaxLogicalErrors terminates the run (the thesis uses 50).
+	// MaxLogicalErrors terminates the run (default
+	// defaultMaxLogicalErrors, the thesis's 50).
 	MaxLogicalErrors int
-	// MaxWindows caps the run length regardless of detected errors.
+	// MaxWindows caps the run length regardless of detected errors
+	// (default defaultMaxWindows).
 	MaxWindows int
-	// InitRounds is the number of ESM rounds during (noiseless)
-	// initialization; the thesis prescribes d = 3.
-	InitRounds int
 	// DecoderRule selects the windowed decoding rule (ablation hook).
 	DecoderRule decoder.Rule
 	// Model optionally overrides the error channel (default: the
@@ -157,15 +156,22 @@ type LERConfig struct {
 	Seed int64
 }
 
+// The run defaults, shared by LERConfig.withDefaults and
+// Spec.Normalized so that a spec hashes as it runs. initRounds is the
+// number of noiseless ESM rounds of an SC17 initialization; the thesis
+// prescribes d = 3.
+const (
+	defaultMaxLogicalErrors = 50
+	defaultMaxWindows       = 2_000_000
+	initRounds              = 3
+)
+
 func (c LERConfig) withDefaults() LERConfig {
 	if c.MaxLogicalErrors <= 0 {
-		c.MaxLogicalErrors = 50
+		c.MaxLogicalErrors = defaultMaxLogicalErrors
 	}
 	if c.MaxWindows <= 0 {
-		c.MaxWindows = 2_000_000
-	}
-	if c.InitRounds <= 0 {
-		c.InitRounds = 3
+		c.MaxWindows = defaultMaxWindows
 	}
 	if c.Code == CodeSurface && c.Distance == 0 {
 		c.Distance = 3
@@ -309,9 +315,8 @@ func (cfg LERConfig) model() layers.Model {
 
 // stackPool hands one reusable stack to each Monte-Carlo worker. The
 // pooled stacks must share the structural configuration (Code,
-// Distance, WithPauliFrame, InitRounds, DecoderRule; InitRounds and
-// DecoderRule apply to SC17 only); per-run fields (PER, Seed, Model)
-// are applied by reset.
+// Distance, WithPauliFrame, DecoderRule; DecoderRule applies to SC17
+// only); per-run fields (PER, Seed, Model) are applied by reset.
 type stackPool struct {
 	stacks []*lerStack
 }
@@ -441,10 +446,16 @@ type PointResult struct {
 }
 
 // MeanLER returns the mean logical error rate of the point.
-func (p PointResult) MeanLER() float64 { return mean(p.LERs) }
+func (p PointResult) MeanLER() float64 { return stats.Mean(p.LERs) }
 
-// StdLER returns the sample standard deviation of the LERs.
-func (p PointResult) StdLER() float64 { return stddev(p.LERs) }
+// StdLER returns the sample standard deviation of the LERs, 0 below two
+// samples.
+func (p PointResult) StdLER() float64 {
+	if len(p.LERs) < 2 {
+		return 0
+	}
+	return stats.StdDev(p.LERs)
+}
 
 // PooledLER returns the pooled estimate m/R over all repetitions.
 func (p PointResult) PooledLER() float64 {
@@ -463,29 +474,6 @@ func (p PointResult) WilsonLER() (lo, hi float64) {
 // wilsonZ95 is the two-sided 95% normal quantile used for all sweep
 // error bars and the adaptive stopping rule.
 const wilsonZ95 = 1.959963984540054
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
 
 // SweepConfig parameterizes a PER sweep (thesis Figs 5.11-5.14).
 type SweepConfig struct {

@@ -42,14 +42,14 @@ func newQECLayer(cfg LERConfig, below qpdo.Core) (qecLayer, error) {
 		p, err := surfaced.NewPlane(below, cfg.Distance)
 		return planeLayer{p}, err
 	case CodeComputation:
-		// The star's own default of one InitRounds round: the LERConfig
-		// default of 3 would add two ESM rounds to every restart.
+		// The star's own default of one initialization round: SC17's
+		// initRounds would add two ESM rounds to every restart.
 		l := surface.NewNinjaStarLayer(below, surface.Config{Ancilla: surface.AncillaDedicated})
 		return &twoStarLayer{NinjaStarLayer: l}, l.CreateQubits(2)
 	}
 	l := surface.NewNinjaStarLayer(below, surface.Config{
 		Ancilla:     surface.AncillaDedicated,
-		InitRounds:  cfg.InitRounds,
+		InitRounds:  initRounds,
 		DecoderRule: cfg.DecoderRule,
 	})
 	return starLayer{l}, l.CreateQubits(1)

@@ -175,10 +175,10 @@ func (s Spec) Normalized() Spec {
 		s.Samples = 0
 	}
 	if s.MaxLogicalErrors <= 0 {
-		s.MaxLogicalErrors = 50
+		s.MaxLogicalErrors = defaultMaxLogicalErrors
 	}
 	if s.MaxWindows <= 0 {
-		s.MaxWindows = 2_000_000
+		s.MaxWindows = defaultMaxWindows
 	}
 	if s.Lanes == 1 {
 		// One lane word is the canonical zero state: a width-1 spec is
